@@ -18,7 +18,9 @@ from . import graph6 as g6
 from .coloring import Coloring, first_unbalanced, report
 from .constructions import characterize_family
 from .graphs import Graph, build_family
-from .solver import Budget, census, enumerate_colorings, solve
+from .solver import (
+    DEFAULT_MAX_MILLIS, DEFAULT_MAX_NODES, Budget, census, enumerate_colorings, solve,
+)
 from .trees import MalformedScriptError, NotATreeError, TreeBuildScript, decompose_cnbc_tree, replay
 
 _WORKERS_ENV = "BALANCED_COLORING_WORKERS"
@@ -73,14 +75,10 @@ def _load_graph(args) -> Graph:
         name, params = _parse_family_tokens(args.family)
         return build_family(name, *params)
     if args.input:
-        text = _read_text(args.input)
-        for line in text.splitlines():
-            s = line.strip()
-            if s.startswith(">>graph6<<"):
-                s = s[len(">>graph6<<"):].strip()
-            if s:
-                return g6.decode(s)
-        raise InputError(f"no graph6 line found in {args.input}")
+        g = next(g6.iter_graph6(_read_text(args.input).splitlines()), None)
+        if g is None:
+            raise InputError(f"no graph6 line found in {args.input}")
+        return g
     return g6.parse_edge_list(_read_text(args.edges))
 
 
@@ -154,6 +152,12 @@ def _cmd_census(args) -> int:
     except g6.Graph6Error as exc:
         raise InputError(str(exc)) from exc
     workers = args.workers
+    if workers is None:
+        raw = os.environ.get(_WORKERS_ENV, "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise InputError(f"{_WORKERS_ENV} must be an integer, got {raw!r}") from None
     for outcome in census(graphs, args.mode, _budget(args), workers=workers):
         d = outcome.as_dict()
         if args.format == "json":
@@ -255,8 +259,8 @@ def _add_common(sub, family_positional=True):
 
 
 def _add_budget(sub):
-    sub.add_argument("--budget-nodes", type=int, default=100_000_000, metavar="N")
-    sub.add_argument("--budget-ms", type=float, default=60_000.0, metavar="MS")
+    sub.add_argument("--budget-nodes", type=int, default=DEFAULT_MAX_NODES, metavar="N")
+    sub.add_argument("--budget-ms", type=float, default=DEFAULT_MAX_MILLIS, metavar="MS")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -288,7 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_budget(p)
     p.add_argument(
         "--workers", type=int,
-        default=int(os.environ.get(_WORKERS_ENV, "1")),
         help=f"parallel workers (default ${_WORKERS_ENV} or 1)",
     )
     p.set_defaults(func=_cmd_census)

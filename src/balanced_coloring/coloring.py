@@ -143,6 +143,23 @@ def verify(g: Graph, c: Coloring, mode: Mode) -> bool:
     return first_unbalanced(g, c, mode) is None
 
 
+def require_valid(g: Graph, c: Coloring, mode: Mode, what: str) -> None:
+    """Reject a caller-supplied coloring that does not verify under mode."""
+    v = first_unbalanced(g, c, mode)
+    if v is not None:
+        raise InvalidColoringError(
+            f"{what} must be {mode}-valid; neighborhood of vertex {v} is unbalanced"
+        )
+
+
+def checked_output(g: Graph, c: Coloring, mode: Mode, what: str) -> Coloring:
+    """Return c after re-verifying it; the library's own output failing
+    verification is a bug, reported as RuntimeError rather than ValueError."""
+    if first_unbalanced(g, c, mode) is not None:  # pragma: no cover
+        raise RuntimeError(f"internal error: {what} failed {mode} verification")
+    return c
+
+
 # ---------------------------------------------------------------------------
 # Balance reports
 # ---------------------------------------------------------------------------
@@ -231,10 +248,7 @@ def check_identities(
     must be True for a correct implementation, so ``strict=True`` (used by
     the test harness) raises IdentityViolationError on any False.
     """
-    _check_pair(g, c)
-    check_mode(mode)
-    if first_unbalanced(g, c, mode) is not None:
-        raise InvalidColoringError(f"coloring does not verify under {mode}")
+    require_valid(g, c, mode, "coloring")
     rep = report(g, c)
     n = g.n
     m = g.edge_count

@@ -9,19 +9,16 @@ otherwise, leaving the caller to fall back to the exact solver.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Literal
 
 from .coloring import (
     Coloring,
-    InvalidColoringError,
     Mode,
     UnbalancedColoringError,
     check_mode,
-    first_unbalanced,
-    verify_cnb,
-    verify_nb,
+    checked_output,
+    require_valid,
 )
 from .graphs import (
     CirculantSpec,
@@ -60,20 +57,6 @@ class CharacterizationVerdict:
     witness: Coloring | None = None
 
 
-def _checked(g: Graph, c: Coloring, mode: Mode, what: str) -> Coloring:
-    if first_unbalanced(g, c, mode) is not None:  # pragma: no cover
-        raise RuntimeError(f"internal error: {what} failed {mode} verification")
-    return c
-
-
-def _require_valid(g: Graph, c: Coloring, mode: Mode, name: str) -> None:
-    v = first_unbalanced(g, c, mode)
-    if v is not None:
-        raise InvalidColoringError(
-            f"{name} must be {mode}-valid; neighborhood of vertex {v} is unbalanced"
-        )
-
-
 def _require_balanced(c: Coloring, name: str) -> None:
     if c.red_count != c.blue_count:
         raise UnbalancedColoringError(
@@ -98,7 +81,7 @@ def embed_in_nbc(g: Graph) -> tuple[Graph, Coloring]:
     rows += [g.adj[v] | (g.adj[v] << n) for v in range(n)]
     host = Graph(2 * n, tuple(rows))
     col = Coloring(2 * n, (1 << n) - 1)
-    return host, _checked(host, col, "nb", "nbc embedding")
+    return host, checked_output(host, col, "nb", "nbc embedding")
 
 
 def embed_in_cnbc(g: Graph) -> tuple[Graph, Coloring]:
@@ -109,7 +92,7 @@ def embed_in_cnbc(g: Graph) -> tuple[Graph, Coloring]:
     rows += [g.adj[v] | (g.adj[v] << n) | (1 << v) for v in range(n)]
     host = Graph(2 * n, tuple(rows))
     col = Coloring(2 * n, (1 << n) - 1)
-    return host, _checked(host, col, "cnb", "cnbc embedding")
+    return host, checked_output(host, col, "cnb", "cnbc embedding")
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +114,9 @@ def color_complement_bridge(
     _require_balanced(c, "input coloring")
     source: Mode = "nb" if direction == "nb->cnb" else "cnb"
     target: Mode = "cnb" if direction == "nb->cnb" else "nb"
-    _require_valid(g, c, source, "input coloring")
+    require_valid(g, c, source, "input coloring")
     out = complement(g)
-    return out, _checked(out, c, target, "complement bridge")
+    return out, checked_output(out, c, target, "complement bridge")
 
 
 def color_join(
@@ -143,23 +126,23 @@ def color_join(
     check_mode(mode)
     _require_balanced(cg, "first coloring")
     _require_balanced(ch, "second coloring")
-    _require_valid(g, cg, mode, "first coloring")
-    _require_valid(h, ch, mode, "second coloring")
+    require_valid(g, cg, mode, "first coloring")
+    require_valid(h, ch, mode, "second coloring")
     out = join(g, h)
     col = Coloring(out.n, cg.bits | (ch.bits << g.n))
-    return _checked(out, col, mode, "join coloring")
+    return checked_output(out, col, mode, "join coloring")
 
 
 def color_lexicographic(g: Graph, h: Graph, ch: Coloring) -> Coloring:
     """Color lexicographic(g, h) by repeating a balanced cnb coloring of h
     on every copy; g is arbitrary."""
     _require_balanced(ch, "inner coloring")
-    _require_valid(h, ch, "cnb", "inner coloring")
+    require_valid(h, ch, "cnb", "inner coloring")
     bits = 0
     for i in range(g.n):
         bits |= ch.bits << (i * h.n)
     out = lexicographic(g, h)
-    return _checked(out, Coloring(out.n, bits), "cnb", "lexicographic coloring")
+    return checked_output(out, Coloring(out.n, bits), "cnb", "lexicographic coloring")
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +214,7 @@ def circulant_constructions(
 
     g = spec.build()
     for name, col in results:
-        _checked(g, col, mode, f"circulant {name} route")
+        checked_output(g, col, mode, f"circulant {name} route")
     return results
 
 
@@ -255,13 +238,60 @@ def _lift_reduced_coloring(c_reduced: Coloring, t: int, n: int) -> Coloring:
     """Pull a coloring of the reduced circulant back to the original: the
     copy containing vertex v is indexed by v mod t and walks in steps of t,
     so v plays reduced vertex v // t."""
-    if t == 1:
-        return c_reduced
     bits = 0
     for v in range(n):
         if c_reduced.is_red(v // t):
             bits |= 1 << v
     return Coloring(n, bits)
+
+
+def _route_verdict(spec: CirculantSpec, mode: Mode) -> CharacterizationVerdict | None:
+    routes = circulant_constructions(spec, mode)
+    if not routes:
+        return None
+    name, col = routes[0]
+    return CharacterizationVerdict(
+        "yes", f"{name} construction applies", theorem=name, witness=col
+    )
+
+
+def _cubic_rule(spec: CirculantSpec) -> CharacterizationVerdict:
+    """Reduced lengths {d, n/2}: closed-balanced exactly when 4 divides n."""
+    n = spec.n
+    if n % 4 != 0:
+        return CharacterizationVerdict(
+            "no", f"reduced order {n} is not divisible by 4", theorem="cubic-circulant"
+        )
+    col = Coloring(n, _alternating_bits(n))
+    return CharacterizationVerdict(
+        "yes",
+        f"reduced order {n} is divisible by 4",
+        theorem="cubic-circulant",
+        witness=checked_output(spec.build(), col, "cnb", "cubic circulant coloring"),
+    )
+
+
+def _quintic_rule(spec: CirculantSpec) -> CharacterizationVerdict:
+    """Reduced lengths {d1, d2, n/2}; see characterize_quintic_circulant."""
+    n = spec.n
+    d1, d2 = spec.lengths[0], spec.lengths[1]
+    if n % 4 == 2:
+        if d1 % 2 == d2 % 2:
+            return CharacterizationVerdict(
+                "no",
+                f"lengths {d1}, {d2} share parity with order 2 mod 4",
+                theorem="quintic-parity",
+            )
+        col = Coloring(n, _alternating_bits(n))
+        return CharacterizationVerdict(
+            "yes",
+            f"lengths {d1}, {d2} have opposite parity with order 2 mod 4",
+            theorem="quintic-parity",
+            witness=checked_output(spec.build(), col, "cnb", "quintic circulant coloring"),
+        )
+    return _route_verdict(spec, "cnb") or CharacterizationVerdict(
+        "unknown", f"order {n} divisible by 4 with no constructive route; open case"
+    )
 
 
 def characterize_cubic_circulant(n: int, d: int) -> CharacterizationVerdict:
@@ -272,29 +302,7 @@ def characterize_cubic_circulant(n: int, d: int) -> CharacterizationVerdict:
         raise FamilyParameterError("order must be a positive even integer")
     if not 1 <= d <= n // 2 - 1:
         raise FamilyParameterError(f"length must lie in 1..{n // 2 - 1}")
-    spec = CirculantSpec(n, (d, n // 2))
-    t, reduced = circulant_reduce(spec)
-    rn = reduced.n
-    rd = reduced.lengths[0]
-    via = " after gcd reduction" if t > 1 else ""
-    if math.gcd(rd, rn // 2) != 1:  # unreachable: reduction enforces gcd 1
-        return CharacterizationVerdict(
-            "unknown", "reduced length shares a factor with half the order"
-        )
-    if rn % 4 != 0:
-        return CharacterizationVerdict(
-            "no",
-            f"reduced order {rn} is not divisible by 4{via}",
-            theorem="cubic-circulant",
-        )
-    witness = _lift_reduced_coloring(Coloring(rn, _alternating_bits(rn)), t, n)
-    _checked(spec.build(), witness, "cnb", "cubic circulant coloring")
-    return CharacterizationVerdict(
-        "yes",
-        f"reduced order {rn} is divisible by 4{via}",
-        theorem="cubic-circulant",
-        witness=witness,
-    )
+    return characterize_circulant(CirculantSpec(n, (d, n // 2)), "cnb")
 
 
 def characterize_quintic_circulant(
@@ -311,43 +319,7 @@ def characterize_quintic_circulant(
         raise FamilyParameterError("order must be a positive even integer")
     if not 1 <= d1 < d2 < n // 2:
         raise FamilyParameterError("need 1 <= d1 < d2 < n/2")
-    spec = CirculantSpec(n, (d1, d2, n // 2))
-    t, reduced = circulant_reduce(spec)
-    rn = reduced.n
-    r1, r2 = reduced.lengths[0], reduced.lengths[1]
-    via = " after gcd reduction" if t > 1 else ""
-    if rn % 4 == 2:
-        if r1 % 2 != r2 % 2:
-            witness = _lift_reduced_coloring(
-                Coloring(rn, _alternating_bits(rn)), t, n
-            )
-            _checked(spec.build(), witness, "cnb", "quintic circulant coloring")
-            return CharacterizationVerdict(
-                "yes",
-                f"lengths {r1}, {r2} have opposite parity with order 2 mod 4{via}",
-                theorem="quintic-parity",
-                witness=witness,
-            )
-        return CharacterizationVerdict(
-            "no",
-            f"lengths {r1}, {r2} share parity with order 2 mod 4{via}",
-            theorem="quintic-parity",
-        )
-    routes = circulant_constructions(reduced, "cnb")
-    if routes:
-        name, col = routes[0]
-        witness = _lift_reduced_coloring(col, t, n)
-        _checked(spec.build(), witness, "cnb", "quintic circulant coloring")
-        return CharacterizationVerdict(
-            "yes",
-            f"{name} construction applies{via}",
-            theorem=name,
-            witness=witness,
-        )
-    return CharacterizationVerdict(
-        "unknown",
-        f"order {rn} divisible by 4 with no constructive route{via}; open case",
-    )
+    return characterize_circulant(CirculantSpec(n, (d1, d2, n // 2)), "cnb")
 
 
 def characterize_circulant(
@@ -376,59 +348,41 @@ def characterize_circulant(
     if t > 1:
         inner = characterize_circulant(reduced, mode, _bridge)
         witness = None
-        if inner.value == "yes" and inner.witness is not None:
-            witness = _lift_reduced_coloring(inner.witness, t, n)
-            _checked(spec.build(), witness, mode, "lifted circulant coloring")
+        if inner.witness is not None:
+            lifted = _lift_reduced_coloring(inner.witness, t, n)
+            witness = checked_output(spec.build(), lifted, mode, "lifted circulant coloring")
         return CharacterizationVerdict(
             inner.value,
             f"{inner.reason} (gcd reduction by {t})",
             theorem=inner.theorem,
             witness=witness,
         )
-    if mode == "cnb" and len(spec.lengths) == 2 and has_half:
-        return characterize_cubic_circulant(n, spec.lengths[0])
-    if mode == "cnb" and len(spec.lengths) == 3 and has_half:
-        return characterize_quintic_circulant(n, spec.lengths[0], spec.lengths[1])
-    routes = circulant_constructions(spec, mode)
-    if routes:
-        name, col = routes[0]
-        return CharacterizationVerdict(
-            "yes", f"{name} construction applies", theorem=name, witness=col
-        )
-    if _bridge:
-        comp_lengths = tuple(
-            d for d in range(1, n // 2 + 1) if d not in set(spec.lengths)
-        )
+    # past the parity checks, cnb implies the half length is present
+    if mode == "cnb" and len(spec.lengths) == 2:
+        return _cubic_rule(spec)
+    if mode == "cnb" and len(spec.lengths) == 3:
+        return _quintic_rule(spec)
+    route = _route_verdict(spec, mode)
+    if route is not None:
+        return route
+    # A complete circulant has an edgeless complement, so there is nothing
+    # to bridge to. None reaches this point in cnb mode: odd orders stop at
+    # degree parity, even orders at the cubic/quintic rules or a route.
+    if _bridge and len(spec.lengths) < n // 2:
         other: Mode = "nb" if mode == "cnb" else "cnb"
-        if comp_lengths:
-            inner = characterize_circulant(
-                CirculantSpec(n, comp_lengths), other, _bridge=False
+        inner = characterize_circulant(spec.complement_spec(), other, _bridge=False)
+        if inner.value != "unknown":
+            witness = None
+            if inner.witness is not None:
+                witness = checked_output(
+                    spec.build(), inner.witness, mode, "complement-bridge coloring"
+                )
+            return CharacterizationVerdict(
+                inner.value,
+                f"complement circulant is {other}-decided: {inner.reason}",
+                theorem=inner.theorem,
+                witness=witness,
             )
-            if inner.value != "unknown":
-                witness = None
-                if inner.value == "yes" and inner.witness is not None:
-                    witness = _checked(
-                        spec.build(), inner.witness, mode, "complement-bridge coloring"
-                    )
-                return CharacterizationVerdict(
-                    inner.value,
-                    f"complement circulant is {other}-decided: {inner.reason}",
-                    theorem=inner.theorem,
-                    witness=witness,
-                )
-        else:
-            # complement is edgeless, so the graph is complete
-            if mode == "cnb":
-                if n % 2 == 0:
-                    half = Coloring(n, (1 << (n // 2)) - 1)
-                    witness = _checked(spec.build(), half, "cnb", "complete coloring")
-                    return CharacterizationVerdict(
-                        "yes", "complete graph of even order",
-                        theorem="complete-even", witness=witness,
-                    )
-                return CharacterizationVerdict(
-                    "no", "complete graph of odd order", theorem="complete-even"
-                )
     return CharacterizationVerdict("unknown", "no cited criterion applies")
 
 
@@ -473,7 +427,7 @@ def color_gp(n: int, d: int) -> Coloring:
     for i in range(1, n, 2):
         bits |= (1 << i) | (1 << (n + i))
     col = Coloring(2 * n, bits)
-    return _checked(gen_petersen(n, d), col, "cnb", "generalized Petersen coloring")
+    return checked_output(gen_petersen(n, d), col, "cnb", "generalized Petersen coloring")
 
 
 # ---------------------------------------------------------------------------
@@ -484,38 +438,38 @@ def color_gp(n: int, d: int) -> Coloring:
 def color_cartesian(g: Graph, cg: Coloring, h: Graph, ch: Coloring) -> Coloring:
     """Color cartesian(g, h) from a cnb coloring of g and an nb coloring of
     h: vertex (i, j) is blue exactly when cg and ch agree."""
-    _require_valid(g, cg, "cnb", "first coloring")
-    _require_valid(h, ch, "nb", "second coloring")
+    require_valid(g, cg, "cnb", "first coloring")
+    require_valid(h, ch, "nb", "second coloring")
     bits = 0
     for i in range(g.n):
         block = ch.bits if not cg.is_red(i) else ch.bits ^ ((1 << h.n) - 1)
         bits |= block << (i * h.n)
     out = cartesian(g, h)
-    return _checked(out, Coloring(out.n, bits), "cnb", "cartesian coloring")
+    return checked_output(out, Coloring(out.n, bits), "cnb", "cartesian coloring")
 
 
 def color_box_k2(g: Graph, cg: Coloring) -> Coloring:
     """Color cartesian(g, K2) by duplicating a cnb coloring of g onto both
     layers; the result balances open neighborhoods."""
-    _require_valid(g, cg, "cnb", "input coloring")
+    require_valid(g, cg, "cnb", "input coloring")
     bits = 0
     for i in range(g.n):
         if cg.is_red(i):
             bits |= 0b11 << (2 * i)
     out = cartesian(g, complete(2))
-    return _checked(out, Coloring(out.n, bits), "nb", "prism-layer coloring")
+    return checked_output(out, Coloring(out.n, bits), "nb", "prism-layer coloring")
 
 
 def color_strong(g: Graph, cg: Coloring, h: Graph) -> Coloring:
     """Color strong(g, h) by giving every g-layer the same cnb coloring of
     g; h is arbitrary."""
-    _require_valid(g, cg, "cnb", "input coloring")
+    require_valid(g, cg, "cnb", "input coloring")
     bits = 0
     for i in range(g.n):
         if cg.is_red(i):
             bits |= ((1 << h.n) - 1) << (i * h.n)
     out = strong(g, h)
-    return _checked(out, Coloring(out.n, bits), "cnb", "strong product coloring")
+    return checked_output(out, Coloring(out.n, bits), "cnb", "strong product coloring")
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +506,7 @@ def prism_colorings(n: int) -> list[Coloring]:
                 full = (1 << n) - 1
                 out.append(Coloring(2 * n, p | ((p ^ full) << n)))
     for col in out:
-        _checked(g, col, "cnb", "prism coloring")
+        checked_output(g, col, "cnb", "prism coloring")
     return sorted(out, key=Coloring.to_text)
 
 
@@ -580,7 +534,7 @@ def color_hypercube(dim: int) -> tuple[Graph, Coloring]:
     if g != expected:  # pragma: no cover
         raise RuntimeError("internal error: product iteration left the cube labeling")
     mode: Mode = "cnb" if dim % 2 == 1 else "nb"
-    return expected, _checked(expected, col, mode, "hypercube coloring")
+    return expected, checked_output(expected, col, mode, "hypercube coloring")
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +544,7 @@ def color_hypercube(dim: int) -> tuple[Graph, Coloring]:
 
 def _yes(reason: str, theorem: str, g: Graph, col: Coloring, mode: Mode):
     return CharacterizationVerdict(
-        "yes", reason, theorem=theorem, witness=_checked(g, col, mode, theorem)
+        "yes", reason, theorem=theorem, witness=checked_output(g, col, mode, theorem)
     )
 
 
@@ -667,6 +621,9 @@ def characterize_family(kind: str, params: tuple, mode: Mode) -> Characterizatio
                 "each side shares one open neighborhood, forcing monochromatic sides",
                 theorem="open-neighborhood-twins",
             )
+        if m == 0 or n == 0:
+            # K_{m,0} is the edgeless graph, label for label
+            return characterize_family("empty", (m + n,), mode)
         if m % 2 == 1 or n % 2 == 1:
             return CharacterizationVerdict(
                 "no", "some vertex has odd degree", theorem="degree-parity"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class FamilyParameterError(ValueError):
@@ -197,20 +197,20 @@ def prism(n: int) -> Graph:
     return cartesian(complete(2), cycle(n))
 
 
-_FAMILY_ARITY = {
-    "empty": 1,
-    "complete": 1,
-    "path": 1,
-    "cycle": 1,
-    "star": 1,
-    "wheel": 1,
-    "complete-bipartite": 2,
-    "circulant": 2,
-    "gen-petersen": 2,
-    "gp": 2,
-    "hypercube": 1,
-    "prism": 1,
+_FAMILIES: dict[str, tuple[int, Callable[..., Graph]]] = {
+    "empty": (1, lambda n: empty_graph(int(n))),
+    "complete": (1, lambda n: complete(int(n))),
+    "path": (1, lambda n: path(int(n))),
+    "cycle": (1, lambda n: cycle(int(n))),
+    "star": (1, lambda m: star(int(m))),
+    "wheel": (1, lambda n: wheel(int(n))),
+    "complete-bipartite": (2, lambda m, n: complete_bipartite(int(m), int(n))),
+    "circulant": (2, lambda n, lengths: circulant(int(n), tuple(lengths))),
+    "gen-petersen": (2, lambda n, d: gen_petersen(int(n), int(d))),
+    "hypercube": (1, lambda dim: hypercube(int(dim))),
+    "prism": (1, lambda n: prism(int(n))),
 }
+_FAMILIES["gp"] = _FAMILIES["gen-petersen"]
 
 
 def build_family(kind: str, *params) -> Graph:
@@ -219,40 +219,18 @@ def build_family(kind: str, *params) -> Graph:
     ``circulant`` takes (n, lengths) where lengths is an iterable of ints;
     all other families take plain integers.
     """
-    arity = _FAMILY_ARITY.get(kind)
-    if arity is None:
-        known = ", ".join(sorted(_FAMILY_ARITY))
+    if kind not in _FAMILIES:
+        known = ", ".join(sorted(_FAMILIES))
         raise FamilyParameterError(f"unknown family {kind!r}; known: {known}")
+    arity, builder = _FAMILIES[kind]
     if len(params) != arity:
         raise FamilyParameterError(f"family {kind!r} takes {arity} parameter(s)")
     try:
-        if kind == "empty":
-            return empty_graph(int(params[0]))
-        if kind == "complete":
-            return complete(int(params[0]))
-        if kind == "path":
-            return path(int(params[0]))
-        if kind == "cycle":
-            return cycle(int(params[0]))
-        if kind == "star":
-            return star(int(params[0]))
-        if kind == "wheel":
-            return wheel(int(params[0]))
-        if kind == "complete-bipartite":
-            return complete_bipartite(int(params[0]), int(params[1]))
-        if kind == "circulant":
-            return circulant(int(params[0]), tuple(params[1]))
-        if kind in ("gen-petersen", "gp"):
-            return gen_petersen(int(params[0]), int(params[1]))
-        if kind == "hypercube":
-            return hypercube(int(params[0]))
-        if kind == "prism":
-            return prism(int(params[0]))
+        return builder(*params)
     except FamilyParameterError:
         raise
     except (TypeError, ValueError) as exc:
         raise FamilyParameterError(f"bad parameters for {kind!r}: {exc}") from exc
-    raise AssertionError("unreachable")
 
 
 # ---------------------------------------------------------------------------

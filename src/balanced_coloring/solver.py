@@ -16,11 +16,12 @@ symmetry and emits colorings in lexicographic order of their R/B text.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
-from .coloring import Coloring, Mode, check_mode, first_unbalanced, leaf_force
+from .coloring import Coloring, Mode, check_mode, checked_output, leaf_force
 from .graphs import Graph, bits
 
 DEFAULT_MAX_NODES = 100_000_000
@@ -344,9 +345,7 @@ def solve(g: Graph, mode: Mode = "cnb", budget: Budget | None = None) -> SolveOu
         return SolveOutcome("timeout", None, _stats(search, t0))
     if not sat:
         return SolveOutcome("unsat", None, _stats(search, t0))
-    witness = Coloring(g.n, search.red)
-    if first_unbalanced(g, witness, mode) is not None:  # pragma: no cover
-        raise RuntimeError("internal error: search produced an invalid witness")
+    witness = checked_output(g, Coloring(g.n, search.red), mode, "search witness")
     return SolveOutcome("sat", witness, _stats(search, t0))
 
 
@@ -369,15 +368,10 @@ def enumerate_colorings(
     if search.contradiction:
         return EnumerationOutcome((), False, _stats(search, t0))
     masks, capped = search.enumerate_all(cap)
-    colorings = tuple(Coloring(g.n, m) for m in masks)
-    for c in colorings:
-        if first_unbalanced(g, c, mode) is not None:  # pragma: no cover
-            raise RuntimeError("internal error: enumeration produced an invalid coloring")
+    colorings = tuple(
+        checked_output(g, Coloring(g.n, m), mode, "enumerated coloring") for m in masks
+    )
     return EnumerationOutcome(colorings, capped, _stats(search, t0))
-
-
-def _solve_task(g: Graph, mode: Mode, budget: Budget | None) -> SolveOutcome:
-    return solve(g, mode, budget)
 
 
 def census(
@@ -398,9 +392,8 @@ def census(
         for g in graphs:
             yield solve(g, mode, budget)
         return
-    import functools
     from concurrent.futures import ProcessPoolExecutor
 
-    task = functools.partial(_solve_task, mode=mode, budget=budget)
+    task = functools.partial(solve, mode=mode, budget=budget)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(task, graphs, chunksize=16)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product as _iproduct
 from typing import Iterator, Sequence
 
-from .coloring import Coloring, InvalidColoringError, first_unbalanced
+from .coloring import Coloring, InvalidColoringError, checked_output, require_valid
 from .graphs import Graph, bits, is_tree
 
 
@@ -31,14 +31,6 @@ class ColorPatternError(InvalidColoringError):
     """Anchor vertices do not show the color pattern an addition needs."""
 
 
-def _require_mode_valid(g: Graph, c: Coloring, mode: str, what: str) -> None:
-    v = first_unbalanced(g, c, mode)  # also validates sizes
-    if v is not None:
-        raise InvalidColoringError(
-            f"{what} must be {mode}-valid; vertex {v} is unbalanced"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Vertex additions
 # ---------------------------------------------------------------------------
@@ -51,7 +43,7 @@ def four_vertex_addition(g: Graph, c: Coloring, z: int) -> tuple[Graph, Coloring
     edges z-v, z-x, v-w1, v-w2; v takes z's color and the other three take
     the opposite color. The output is re-verified.
     """
-    _require_mode_valid(g, c, "cnb", "input coloring")
+    require_valid(g, c, "cnb", "input coloring")
     if not 0 <= z < g.n:
         raise ValueError(f"anchor {z} outside 0..{g.n - 1}")
     n = g.n
@@ -67,10 +59,7 @@ def four_vertex_addition(g: Graph, c: Coloring, z: int) -> tuple[Graph, Coloring
         cbits |= 1 << v
     else:
         cbits |= (1 << x) | (1 << w1) | (1 << w2)
-    col = Coloring(n + 4, cbits)
-    if first_unbalanced(out, col, "cnb") is not None:  # pragma: no cover
-        raise RuntimeError("internal error: 4-vertex addition broke balance")
-    return out, col
+    return out, checked_output(out, Coloring(n + 4, cbits), "cnb", "4-vertex addition")
 
 
 def three_vertex_addition(
@@ -82,7 +71,7 @@ def three_vertex_addition(
     (adjacent to all four anchors, colored blue), a1 = n+1 (adjacent to w
     and y) and a2 = n+2 (adjacent to x and z), both red.
     """
-    _require_mode_valid(g, c, "nb", "input coloring")
+    require_valid(g, c, "nb", "input coloring")
     anchors = (w, x, y, z)
     if len(set(anchors)) != 4 or not all(0 <= a < g.n for a in anchors):
         raise ValueError("anchors must be four distinct vertices of the graph")
@@ -98,9 +87,7 @@ def three_vertex_addition(
         rows[b] |= 1 << a
     out = Graph(n + 3, tuple(rows))
     col = Coloring(n + 3, c.bits | (1 << a1) | (1 << a2))
-    if first_unbalanced(out, col, "nb") is not None:  # pragma: no cover
-        raise RuntimeError("internal error: 3-vertex addition broke balance")
-    return out, col
+    return out, checked_output(out, col, "nb", "3-vertex addition")
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +172,7 @@ def replay(script: TreeBuildScript) -> tuple[Graph, Coloring]:
         raise MalformedScriptError("vertex ids must form the contiguous range 0..n-1")
     g = Graph.from_edges(n, edges)
     col = Coloring.from_red(n, (v for v, c in colors.items() if c))
-    if first_unbalanced(g, col, "cnb") is not None:  # pragma: no cover
-        raise RuntimeError("internal error: replayed script is not balanced")
-    return g, col
+    return g, checked_output(g, col, "cnb", "replayed script")
 
 
 # ---------------------------------------------------------------------------
@@ -267,47 +252,6 @@ def decompose_cnbc_tree(t: Graph) -> TreeBuildScript | None:
             return None
         x = v3_leaves[0]
         steps.append(AdditionStep(z=v3, v=v2, x=x, w1=w1, w2=w2))
-        for gone in (v2, x, w1, w2):
-            for nb in bits(adj[gone]):
-                adj[nb] &= ~(1 << gone)
-            adj[gone] = 0
-            alive &= ~(1 << gone)
-        count -= 4
-    rest = sorted(bits(alive))
-    return TreeBuildScript(steps=tuple(reversed(steps)), base=(rest[0], rest[1]))
-
-
-def decompose_cnbc_tree_greedy(t: Graph) -> TreeBuildScript | None:
-    """Experimental peel that takes any eligible gadget (lowest id) instead
-    of following a longest path. Kept for comparison runs only; verdicts are
-    not trusted from this variant."""
-    if not is_tree(t):
-        raise NotATreeError(f"input with {t.n} vertices, {t.edge_count} edges")
-    n = t.n
-    if n % 4 != 2:
-        return None
-    adj = list(t.adj)
-    alive = (1 << n) - 1
-    count = n
-    steps: list[AdditionStep] = []
-    while count > 2:
-        found = None
-        for v2 in bits(alive):
-            if adj[v2].bit_count() != 3:
-                continue
-            leaves = [u for u in bits(adj[v2]) if adj[u].bit_count() == 1]
-            if len(leaves) != 2:
-                continue
-            (z,) = (u for u in bits(adj[v2]) if u not in leaves)
-            z_leaves = [u for u in bits(adj[z]) if adj[u].bit_count() == 1]
-            if not z_leaves:
-                continue
-            found = (v2, z, leaves[0], leaves[1], z_leaves[0])
-            break
-        if found is None:
-            return None
-        v2, z, w1, w2, x = found
-        steps.append(AdditionStep(z=z, v=v2, x=x, w1=w1, w2=w2))
         for gone in (v2, x, w1, w2):
             for nb in bits(adj[gone]):
                 adj[nb] &= ~(1 << gone)

@@ -141,6 +141,26 @@ class TestCensus:
         s2 = [json.loads(l)["status"] for l in out2.strip().splitlines()]
         assert s1 == s2 == ["sat", "unsat", "unsat", "sat"]
 
+    def test_bad_worker_env_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("BALANCED_COLORING_WORKERS", "abc")
+        p = tmp_path / "one.g6"
+        p.write_text(g6.encode(bc.complete(2)) + "\n")
+        code, out, err = run(capsys, "census", "--input", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "BALANCED_COLORING_WORKERS" in err
+
+    def test_workers_flag_overrides_bad_env(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("BALANCED_COLORING_WORKERS", "abc")
+        p = tmp_path / "one.g6"
+        p.write_text(g6.encode(bc.complete(2)) + "\n")
+        code, out, _ = run(capsys, "census", "--input", str(p), "--workers", "1")
+        assert code == 0 and jline(out)["status"] == "sat"
+
+    def test_bad_worker_env_leaves_solve_alone(self, capsys, monkeypatch):
+        monkeypatch.setenv("BALANCED_COLORING_WORKERS", "abc")
+        code, out, _ = run(capsys, "solve", "complete", "2")
+        assert code == 0 and jline(out)["status"] == "sat"
+
     def test_tsv(self, capsys, tmp_path):
         p = tmp_path / "one.g6"
         p.write_text(g6.encode(bc.complete(2)) + "\n")
@@ -184,6 +204,14 @@ class TestFamily:
         assert data["verdict"] == "yes" and data["provenance"] == "solver"
         g = g6.decode(data["graph6"])
         assert bc.verify_nb(g, bc.Coloring.from_text(data["witness"]))
+
+    def test_empty_side_bipartite_is_edgeless(self, capsys):
+        code, out, _ = run(capsys, "family", "complete-bipartite", "3", "0",
+                           "--mode", "nb")
+        assert code == 0
+        data = jline(out)
+        assert data["verdict"] == "yes" and data["theorem"] == "edgeless"
+        assert data["provenance"] == "theorem" and data["witness"] == "BBB"
 
     def test_witness_round_trips_through_verify(self, capsys, tmp_path):
         code, out, _ = run(capsys, "family", "gp", "8", "3")

@@ -459,3 +459,45 @@ class TestCirculantCharacterize:
             assert v.value == "yes"
             g = bc.build_family(kind, *params)
             assert bc.verify(g, v.witness, mode)
+
+
+def _family_sweep():
+    for n in range(11):
+        yield "empty", (n,)
+        yield "complete", (n,)
+    for n in range(1, 11):
+        yield "path", (n,)
+    for kind in ("cycle", "wheel", "prism"):
+        for n in range(3, 13):
+            yield kind, (n,)
+    for m in range(9):
+        yield "star", (m,)
+    for m in range(7):
+        for n in range(7):
+            yield "complete-bipartite", (m, n)
+    for dim in range(5):
+        yield "hypercube", (dim,)
+    for kind in ("gp", "gen-petersen"):
+        for n in range(3, 11):
+            for d in range(1, (n - 1) // 2 + 1):
+                yield kind, (n, d)
+
+
+class TestFamilyVerdicts:
+    def test_every_family_verdict_agrees_with_solver(self):
+        checked = 0
+        for kind, params in _family_sweep():
+            g = bc.build_family(kind, *params)
+            for mode in ("cnb", "nb"):
+                verdict = bc.characterize_family(kind, params, mode)
+                status = bc.solve(g, mode).status
+                case = (kind, params, mode, verdict.theorem)
+                if verdict.value == "yes":
+                    assert status == "sat", case
+                    assert verdict.witness is not None, case
+                    assert bc.verify(g, verdict.witness, mode), case
+                elif verdict.value == "no":
+                    assert status == "unsat", case
+                    assert verdict.witness is None, case
+                checked += 1
+        assert checked == 330

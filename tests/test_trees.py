@@ -205,29 +205,6 @@ class TestDecompose:
                 g, c = bc.four_vertex_addition(g, c, rng.randrange(g.n))
             assert len(bc.enumerate_colorings(g, "cnb").colorings) == 2
 
-    def test_greedy_experiment_logged_not_assumed(self):
-        # the greedy peel is an experiment: divergences are findings to
-        # report, and only the longest-path recognizer must match the solver
-        rng = random.Random(12)
-        divergences = []
-
-        def compare(t):
-            a = bc.decompose_cnbc_tree(t) is not None
-            b = bc.decompose_cnbc_tree_greedy(t) is not None
-            if a != b:
-                divergences.append((list(t.edges()), a, b))
-                assert a == (bc.solve(t, "cnb").status == "sat")
-
-        for n in (6, 10, 14):
-            for _ in range(300):
-                compare(bc.random_labeled_tree(n, rng))
-        for t in bc.labeled_trees(6):
-            compare(t)
-        if divergences:  # pragma: no cover - none observed so far
-            print(f"greedy peel diverged on {len(divergences)} trees:")
-            for edges, a, b in divergences[:10]:
-                print(f"  longest-path={a} greedy={b} edges={edges}")
-
 
 class TestReplayAndScripts:
     def test_empty_script_is_single_edge(self):
