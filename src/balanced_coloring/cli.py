@@ -3,7 +3,8 @@
 Subcommands: verify, solve, enumerate, census, family, tree. Output is one
 JSON object (or JSON line per census item) by default, tab-separated with
 --format tsv. Exit codes: 0 success/sat/valid/yes, 1 unsat/invalid/no,
-2 usage or input error, 3 budget exhausted.
+2 usage or input error (also when stdout closes before the output is
+written, e.g. a pipe into ``head``), 3 budget exhausted.
 """
 
 from __future__ import annotations
@@ -316,9 +317,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at shutdown
+        return code
     except (InputError, g6.Graph6Error, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # The SIGPIPE recipe from the Python docs: send what is still
+        # buffered to devnull so the flush at shutdown cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
 
 

@@ -366,9 +366,13 @@ def characterize_circulant(
     if route is not None:
         return route
     # A complete circulant has an edgeless complement, so there is nothing
-    # to bridge to. None reaches this point in cnb mode: odd orders stop at
-    # degree parity, even orders at the cubic/quintic rules or a route.
-    if _bridge and len(spec.lengths) < n // 2:
+    # to bridge to; the complete-graph theorem decides it. Only odd orders
+    # in nb mode reach this point: in cnb odd orders stop at degree parity,
+    # even orders at the cubic/quintic rules or a route; in nb even orders
+    # stop at degree parity.
+    if len(spec.lengths) == n // 2:
+        return characterize_family("complete", (n,), mode)
+    if _bridge:
         other: Mode = "nb" if mode == "cnb" else "cnb"
         inner = characterize_circulant(spec.complement_spec(), other, _bridge=False)
         if inner.value != "unknown":

@@ -4,22 +4,26 @@ The search keeps, for every vertex, the signed red-minus-blue count of its
 relevant neighborhood (closed for cnb, open for nb) restricted to assigned
 vertices, plus the number of unassigned slots. A vertex with current count c
 and f free slots can still reach residual zero only if |c| <= f and c + f is
-even; when c equals +-f the free slots are all forced to one color. Decisions
-pick the most constrained vertex; forced twin classes (equal neighborhoods,
-leaf-opposite rules) are merged up front through a parity union-find, so one
-assignment colors a whole class at once.
+even; when c equals +-f the free slots are all forced to one color. Forced twin
+classes (equal neighborhoods, leaf-opposite rules) are merged up front
+through a parity union-find, so one assignment colors a whole class at once.
 
-Unsat answers in decision mode are exhaustive: fixing vertex 0 red is sound
-because swapping the two colors preserves validity. Enumeration never breaks
-symmetry and emits colorings in lexicographic order of their R/B text.
+One iterative depth-first search (an explicit stack, no recursion) serves
+both decision and enumeration. Decision picks the most constrained vertex,
+red first; its unsat answers are exhaustive, and fixing vertex 0 red is
+sound because swapping the two colors preserves validity. Enumeration picks
+the lowest unassigned vertex, blue first, never breaks symmetry, and so
+emits colorings in lexicographic order of their R/B text.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal
+from typing import Callable, Iterable, Iterator, Literal
 
 from .coloring import Coloring, Mode, check_mode, checked_output, leaf_force
 from .graphs import Graph, bits
@@ -119,13 +123,11 @@ class _Search:
     def __init__(self, g: Graph, mode: Mode):
         n = g.n
         self.n = n
-        if mode == "cnb":
-            rows = [g.adj[v] | (1 << v) for v in range(n)]
-        else:
-            rows = list(g.adj)
+        closed = [g.adj[v] | (1 << v) for v in range(n)]
+        rows = closed if mode == "cnb" else list(g.adj)
         self.rows = rows
         self.row_members = [tuple(bits(r)) for r in rows]
-        self.closed = [g.adj[v] | (1 << v) for v in range(n)]
+        self.closed = closed
         self.cur = [0] * n
         self.free = [r.bit_count() for r in rows]
         self.assigned = 0
@@ -244,17 +246,7 @@ class _Search:
             self.assigned &= ~(1 << w)
             self.red &= ~(1 << w)
 
-    def _row_parity_ok(self) -> bool:
-        return all(f % 2 == 0 for f in self.free)
-
-    # -- decision search ---------------------------------------------------
-
-    def solve_decision(self, deadline: float, max_nodes: int) -> bool:
-        if not self._row_parity_ok():
-            return False
-        if self.n and not self._request([(0, 1)]):  # color swap makes this sound
-            return False
-        return self._dfs(deadline, max_nodes)
+    # -- search ------------------------------------------------------------
 
     def _pick(self) -> int:
         best = -1
@@ -269,46 +261,43 @@ class _Search:
                 best = v
         return best
 
-    def _dfs(self, deadline: float, max_nodes: int) -> bool:
-        v = self._pick()
-        if v < 0:
-            return True
-        self.decisions += 1
-        if self.decisions > max_nodes:
-            raise _LimitExceeded
-        if not self.decisions & 1023 and time.monotonic() > deadline:
-            raise _LimitExceeded
-        mark = len(self.trail)
-        for col in (1, 0):  # red first
-            if self._request([(v, col)]):
-                if self._dfs(deadline, max_nodes):
-                    return True
-            self._unwind(mark)
-        return False
-
-    # -- enumeration (no symmetry breaking, lexicographic order) ------------
-
-    def enumerate_all(self, cap: int | None) -> tuple[list[int], bool]:
-        if not self._row_parity_ok():
-            return [], False
-        found: list[int] = []
-        self._enum_dfs(found, cap)
-        return found, cap is not None and len(found) >= cap
-
-    def _enum_dfs(self, found: list[int], cap: int | None) -> bool:
+    def _lowest(self) -> int:
         un = ((1 << self.n) - 1) & ~self.assigned
-        if not un:
-            found.append(self.red)
-            return cap is not None and len(found) >= cap
-        v = (un & -un).bit_length() - 1
-        mark = len(self.trail)
-        for col in (0, 1):  # blue first: lexicographic by R/B text
-            if self._request([(v, col)]):
-                if self._enum_dfs(found, cap):
-                    self._unwind(mark)
-                    return True
+        return (un & -un).bit_length() - 1
+
+    def full_assignments(
+        self, pick: Callable[[], int], colors: tuple[int, int], deadline: float,
+        max_nodes: float,
+    ) -> Iterator[int]:
+        """Red mask of each full assignment, depth first: branch on pick()
+        (-1 once all are assigned), trying colors in order; the stack holds
+        (vertex, next color index, trail mark). Each branch is one decision;
+        passing max_nodes of them, or the deadline (checked every 1024),
+        raises _LimitExceeded."""
+        stack: list[tuple[int, int, int]] = []
+        ok = True
+        while True:
+            if ok:
+                v = pick()
+                if v < 0:
+                    yield self.red
+                else:
+                    self.decisions += 1
+                    if self.decisions > max_nodes or (
+                        not self.decisions & 1023 and time.monotonic() > deadline
+                    ):
+                        raise _LimitExceeded
+                    stack.append((v, 0, len(self.trail)))
+            if not stack:
+                return
+            v, i, mark = stack[-1]
             self._unwind(mark)
-        return False
+            if i == len(colors):
+                stack.pop()
+                ok = False
+            else:
+                stack[-1] = (v, i + 1, mark)
+                ok = self._request([(v, colors[i])])
 
 
 def _stats(search: _Search | None, t0: float) -> SolveStats:
@@ -322,6 +311,15 @@ def _stats(search: _Search | None, t0: float) -> SolveStats:
     )
 
 
+def _open_search(g: Graph, mode: Mode) -> _Search | None:
+    """A fresh search over g, or None when the prefilter or a contradiction
+    among the forced classes already rules out every coloring."""
+    if prefilter_reason(g, mode) is not None:
+        return None
+    search = _Search(g, mode)
+    return None if search.contradiction else search
+
+
 def solve(g: Graph, mode: Mode = "cnb", budget: Budget | None = None) -> SolveOutcome:
     """Decide whether g has a balanced coloring in the given mode.
 
@@ -333,19 +331,18 @@ def solve(g: Graph, mode: Mode = "cnb", budget: Budget | None = None) -> SolveOu
     if budget is None:
         budget = Budget()
     t0 = time.perf_counter()
-    if prefilter_reason(g, mode) is not None:
-        return SolveOutcome("unsat", None, _stats(None, t0))
-    search = _Search(g, mode)
-    if search.contradiction:
+    search = _open_search(g, mode)
+    if search is None or (g.n and not search._request([(0, 1)])):
         return SolveOutcome("unsat", None, _stats(search, t0))
     deadline = time.monotonic() + budget.max_millis / 1000.0
+    runs = search.full_assignments(search._pick, (1, 0), deadline, budget.max_nodes)
     try:
-        sat = search.solve_decision(deadline, budget.max_nodes)
+        red = next(runs, None)
     except _LimitExceeded:
         return SolveOutcome("timeout", None, _stats(search, t0))
-    if not sat:
+    if red is None:
         return SolveOutcome("unsat", None, _stats(search, t0))
-    witness = checked_output(g, Coloring(g.n, search.red), mode, "search witness")
+    witness = checked_output(g, Coloring(g.n, red), mode, "search witness")
     return SolveOutcome("sat", witness, _stats(search, t0))
 
 
@@ -362,15 +359,15 @@ def enumerate_colorings(
     if cap is not None and cap < 1:
         raise ValueError("cap must be positive (or None for no cap)")
     t0 = time.perf_counter()
-    if prefilter_reason(g, mode) is not None:
-        return EnumerationOutcome((), False, _stats(None, t0))
-    search = _Search(g, mode)
-    if search.contradiction:
+    search = _open_search(g, mode)
+    if search is None:
         return EnumerationOutcome((), False, _stats(search, t0))
-    masks, capped = search.enumerate_all(cap)
+    runs = search.full_assignments(search._lowest, (0, 1), math.inf, math.inf)
+    masks = list(itertools.islice(runs, cap))
     colorings = tuple(
         checked_output(g, Coloring(g.n, m), mode, "enumerated coloring") for m in masks
     )
+    capped = cap is not None and len(masks) >= cap
     return EnumerationOutcome(colorings, capped, _stats(search, t0))
 
 

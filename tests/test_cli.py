@@ -1,6 +1,9 @@
 """CLI behavior: exit codes, JSON schemas, stream handling."""
 
 import json
+import os
+import subprocess
+import sys
 
 import balanced_coloring as bc
 from balanced_coloring import graph6 as g6
@@ -264,3 +267,23 @@ class TestTree:
     def test_replay_requires_script(self, capsys):
         code, _, err = run(capsys, "tree", "replay")
         assert code == 2
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_2_without_traceback(self):
+        # the read end is closed before the child starts, so its first
+        # write to stdout fails with EPIPE
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.dirname(os.path.dirname(bc.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "balanced_coloring", "family", "gp", "8", "3"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == b""

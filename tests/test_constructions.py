@@ -470,6 +470,8 @@ def _family_sweep():
     for kind in ("cycle", "wheel", "prism"):
         for n in range(3, 13):
             yield kind, (n,)
+    for n in range(3, 14):
+        yield "circulant", (n, tuple(range(1, n // 2 + 1)))  # complete
     for m in range(9):
         yield "star", (m,)
     for m in range(7):
@@ -500,4 +502,12 @@ class TestFamilyVerdicts:
                     assert status == "unsat", case
                     assert verdict.witness is None, case
                 checked += 1
-        assert checked == 330
+        assert checked == 352
+
+    def test_odd_complete_circulant_nb_is_twins_no(self):
+        # the complement is edgeless, so the bridge has nowhere to go; the
+        # complete-graph theorem decides instead of the solver
+        for n in range(3, 14, 2):
+            spec = bc.CirculantSpec(n, tuple(range(1, n // 2 + 1)))
+            verdict = bc.characterize_circulant(spec, "nb")
+            assert (verdict.value, verdict.theorem) == ("no", "closed-neighborhood-twins")

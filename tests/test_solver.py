@@ -84,6 +84,22 @@ class TestDeterminism:
         for _ in range(3):
             assert bc.solve(g, "cnb").witness.to_text() == first
 
+    @pytest.mark.parametrize("g, mode, budget, expect", [
+        (bc.gen_petersen(12, 5), "cnb", None,
+         ("sat", "RRBBRRBBRRBBBBRRBBRRBBRR", 3, 32)),
+        (bc.circulant(24, (1, 3, 5, 7, 9, 12)), "cnb", Budget(max_nodes=50),
+         ("timeout", None, 51, 218)),
+        (bc.cycle(12), "nb", None, ("sat", "RRBBRRBBRRBB", 1, 11)),
+        (bc.prism(16), "cnb", None,
+         ("sat", "RRBBRRBBRRBBRRBBBBRRBBRRBBRRBBRR", 1, 31)),
+    ])
+    def test_search_order_is_pinned(self, g, mode, budget, expect):
+        # census output (witness, nodes, propagations) must repeat across
+        # versions, so the search order is part of the contract
+        out = bc.solve(g, mode, budget)
+        text = out.witness.to_text() if out.witness else None
+        assert (out.status, text, out.stats.nodes, out.stats.propagations) == expect
+
 
 class TestEnumeration:
     def test_k2(self):
@@ -147,6 +163,10 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             bc.enumerate_colorings(bc.complete(2), "cnb", cap=0)
 
+    def test_stats_count_decisions(self):
+        out = bc.enumerate_colorings(bc.prism(8), "cnb")
+        assert out.stats.nodes > 0
+
     def test_prism_counts(self):
         assert len(bc.enumerate_colorings(bc.prism(6), "cnb").colorings) == 2
         # frozen by the 2^12 brute force below
@@ -172,6 +192,31 @@ class TestBudgets:
         g = bc.gen_petersen(12, 3)
         out = bc.solve(g, "cnb", Budget(max_nodes=2, max_millis=60_000))
         assert out.status in ("sat", "timeout")
+
+
+def _union_of_copies(h, k):
+    edges = [(u + i * h.n, v + i * h.n) for i in range(k) for u, v in h.edges()]
+    return bc.Graph.from_edges(h.n * k, edges)
+
+
+class TestDeepInputs:
+    # one decision per component: far deeper than the interpreter's
+    # recursion limit, so these need the explicit search stack
+
+    @pytest.mark.parametrize("part, mode", [(bc.complete(2), "cnb"), (bc.cycle(4), "nb")])
+    def test_many_components_solve(self, part, mode):
+        g = _union_of_copies(part, 1200)
+        out = bc.solve(g, mode)
+        assert out.status == "sat"
+        assert bc.verify(g, out.witness, mode)
+
+    def test_enumeration_prefix(self):
+        g = _union_of_copies(bc.complete(2), 1200)
+        out = bc.enumerate_colorings(g, "cnb", cap=3)
+        assert out.capped
+        texts = [c.to_text() for c in out.colorings]
+        assert len(texts) == 3 and texts == sorted(texts)
+        assert all(bc.verify(g, c, "cnb") for c in out.colorings)
 
 
 class TestCensus:
