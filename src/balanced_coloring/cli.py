@@ -4,7 +4,8 @@ Subcommands: verify, solve, enumerate, census, family, tree. Output is one
 JSON object (or JSON line per census item) by default, tab-separated with
 --format tsv. Exit codes: 0 success/sat/valid/yes, 1 unsat/invalid/no,
 2 usage or input error (also when stdout closes before the output is
-written, e.g. a pipe into ``head``), 3 budget exhausted.
+written, e.g. a pipe into ``head``), 3 budget exhausted (for enumerate: the
+listed colorings are only a prefix and --cap was not what cut them).
 """
 
 from __future__ import annotations
@@ -143,6 +144,8 @@ def _cmd_enumerate(args) -> int:
     else:
         for t in texts:
             print(t)
+    if result.capped and (args.cap is None or len(texts) < args.cap):
+        return EXIT_TIMEOUT  # the search budget ran out before the cap
     return EXIT_OK
 
 
@@ -247,12 +250,11 @@ def _cmd_tree(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, family_positional=True):
-    if family_positional:
-        sub.add_argument(
-            "family", nargs="*", metavar="FAMILY",
-            help="family name and parameters, e.g. 'circulant 12 1,6'",
-        )
+def _add_common(sub):
+    sub.add_argument(
+        "family", nargs="*", metavar="FAMILY",
+        help="family name and parameters, e.g. 'circulant 12 1,6'",
+    )
     sub.add_argument("--input", metavar="FILE|-", help="graph6 input")
     sub.add_argument("--edges", metavar="FILE|-", help="edge-list input ('n m' header)")
     sub.add_argument("--mode", choices=("cnb", "nb"), default="cnb")

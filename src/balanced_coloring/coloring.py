@@ -10,7 +10,7 @@ Residuals stay signed so search code can prune on bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence
 
 from .graphs import Graph, bits
 
@@ -362,12 +362,19 @@ def leaf_force(g: Graph, mode: Mode) -> ForcedConstraints:
             if degs[v] == 1:
                 nbr = g.adj[v].bit_length() - 1
                 opposite.append((v, nbr))
-        for v in range(g.n):
-            leaf_nbrs = sum(1 for u in bits(g.adj[v]) if degs[u] == 1)
-            if 2 * leaf_nbrs > degs[v] + 1:
-                infeasible = (
-                    f"vertex {v} carries {leaf_nbrs} leaves, "
-                    f"more than (deg+1)/2 = {(degs[v] + 1) / 2:g}"
-                )
-                break
+        infeasible = leaf_overload(g, degs)
     return ForcedConstraints(tuple(same), tuple(opposite), infeasible)
+
+
+def leaf_overload(g: Graph, degs: Sequence[int]) -> str | None:
+    """The reason no cnb coloring exists when some vertex carries more than
+    (deg+1)/2 leaves (its leaves all take the color opposite its own),
+    naming the lowest such vertex, or None. degs is g's degree sequence."""
+    for v in range(g.n):
+        leaf_nbrs = sum(1 for u in bits(g.adj[v]) if degs[u] == 1)
+        if 2 * leaf_nbrs > degs[v] + 1:
+            return (
+                f"vertex {v} carries {leaf_nbrs} leaves, "
+                f"more than (deg+1)/2 = {(degs[v] + 1) / 2:g}"
+            )
+    return None

@@ -4,7 +4,9 @@ Every colorer re-verifies its output before returning; theorem-backed code
 must never hand back an invalid witness, so a verification failure raises
 RuntimeError rather than returning. Characterizations answer yes or no only
 when a known criterion decides the instance and return an explicit unknown
-otherwise, leaving the caller to fall back to the exact solver.
+otherwise, leaving the caller to fall back to the exact solver. Colorers of
+products and of the graphs built from them (embeddings, hypercubes) use
+the graph operators of ``graphs`` rather than building rows by hand.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .graphs import (
     lexicographic,
     path,
     prism,
+    spread,
     star,
     strong,
     wheel,
@@ -70,29 +73,19 @@ def _require_balanced(c: Coloring, name: str) -> None:
 
 
 def embed_in_nbc(g: Graph) -> tuple[Graph, Coloring]:
-    """Embed g as an induced subgraph of a graph with a valid nb coloring.
-
-    The host doubles g: vertices 0..n-1 copy g (colored red), n..2n-1 mirror
-    it (colored blue), and every edge uv of g contributes the four pairs
-    among copies except the mirror matching.
-    """
-    n = g.n
-    rows = [g.adj[v] | (g.adj[v] << n) for v in range(n)]
-    rows += [g.adj[v] | (g.adj[v] << n) for v in range(n)]
-    host = Graph(2 * n, tuple(rows))
-    col = Coloring(2 * n, (1 << n) - 1)
-    return host, checked_output(host, col, "nb", "nbc embedding")
+    """Embed g as an induced subgraph of a graph with a valid nb coloring:
+    the complement bridge of the cnbc embedding of g's complement. Vertices
+    0..n-1 copy g (red), n..2n-1 mirror it (blue), and every edge uv of g
+    gives the four pairs among copies except the mirror matching."""
+    return color_complement_bridge(*embed_in_cnbc(complement(g)), "cnb->nb")
 
 
 def embed_in_cnbc(g: Graph) -> tuple[Graph, Coloring]:
-    """Like embed_in_nbc but with the mirror matching added, which upgrades
-    the balance guarantee from open to closed neighborhoods."""
-    n = g.n
-    rows = [g.adj[v] | (g.adj[v] << n) | (1 << (n + v)) for v in range(n)]
-    rows += [g.adj[v] | (g.adj[v] << n) | (1 << v) for v in range(n)]
-    host = Graph(2 * n, tuple(rows))
-    col = Coloring(2 * n, (1 << n) - 1)
-    return host, checked_output(host, col, "cnb", "cnbc embedding")
+    """Embed g as an induced subgraph of a graph with a valid cnb coloring:
+    strong(K2, g) colored by color_strong, copy 0..n-1 red and mirror
+    n..2n-1 blue (embed_in_nbc's host plus the mirror matching)."""
+    k2, rb = complete(2), Coloring(2, 1)
+    return strong(k2, g), color_strong(k2, rb, g)
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +131,7 @@ def color_lexicographic(g: Graph, h: Graph, ch: Coloring) -> Coloring:
     on every copy; g is arbitrary."""
     _require_balanced(ch, "inner coloring")
     require_valid(h, ch, "cnb", "inner coloring")
-    bits = 0
-    for i in range(g.n):
-        bits |= ch.bits << (i * h.n)
+    bits = ch.bits * spread((1 << g.n) - 1, h.n)
     out = lexicographic(g, h)
     return checked_output(out, Coloring(out.n, bits), "cnb", "lexicographic coloring")
 
@@ -238,11 +229,7 @@ def _lift_reduced_coloring(c_reduced: Coloring, t: int, n: int) -> Coloring:
     """Pull a coloring of the reduced circulant back to the original: the
     copy containing vertex v is indexed by v mod t and walks in steps of t,
     so v plays reduced vertex v // t."""
-    bits = 0
-    for v in range(n):
-        if c_reduced.is_red(v // t):
-            bits |= 1 << v
-    return Coloring(n, bits)
+    return Coloring(n, ((1 << t) - 1) * spread(c_reduced.bits, t))
 
 
 def _route_verdict(spec: CirculantSpec, mode: Mode) -> CharacterizationVerdict | None:
@@ -427,10 +414,8 @@ def color_gp(n: int, d: int) -> Coloring:
         raise NotColorableError(
             f"GP({n},{d}) admits no closed-balanced coloring (need n even, d odd)"
         )
-    bits = 0
-    for i in range(1, n, 2):
-        bits |= (1 << i) | (1 << (n + i))
-    col = Coloring(2 * n, bits)
+    alt = _alternating_bits(n)
+    col = Coloring(2 * n, alt | (alt << n))
     return checked_output(gen_petersen(n, d), col, "cnb", "generalized Petersen coloring")
 
 
@@ -444,10 +429,7 @@ def color_cartesian(g: Graph, cg: Coloring, h: Graph, ch: Coloring) -> Coloring:
     h: vertex (i, j) is blue exactly when cg and ch agree."""
     require_valid(g, cg, "cnb", "first coloring")
     require_valid(h, ch, "nb", "second coloring")
-    bits = 0
-    for i in range(g.n):
-        block = ch.bits if not cg.is_red(i) else ch.bits ^ ((1 << h.n) - 1)
-        bits |= block << (i * h.n)
+    bits = ch.bits * spread((1 << g.n) - 1, h.n) ^ ((1 << h.n) - 1) * spread(cg.bits, h.n)
     out = cartesian(g, h)
     return checked_output(out, Coloring(out.n, bits), "cnb", "cartesian coloring")
 
@@ -456,10 +438,7 @@ def color_box_k2(g: Graph, cg: Coloring) -> Coloring:
     """Color cartesian(g, K2) by duplicating a cnb coloring of g onto both
     layers; the result balances open neighborhoods."""
     require_valid(g, cg, "cnb", "input coloring")
-    bits = 0
-    for i in range(g.n):
-        if cg.is_red(i):
-            bits |= 0b11 << (2 * i)
+    bits = 0b11 * spread(cg.bits, 2)
     out = cartesian(g, complete(2))
     return checked_output(out, Coloring(out.n, bits), "nb", "prism-layer coloring")
 
@@ -468,10 +447,7 @@ def color_strong(g: Graph, cg: Coloring, h: Graph) -> Coloring:
     """Color strong(g, h) by giving every g-layer the same cnb coloring of
     g; h is arbitrary."""
     require_valid(g, cg, "cnb", "input coloring")
-    bits = 0
-    for i in range(g.n):
-        if cg.is_red(i):
-            bits |= ((1 << h.n) - 1) << (i * h.n)
+    bits = ((1 << h.n) - 1) * spread(cg.bits, h.n)
     out = strong(g, h)
     return checked_output(out, Coloring(out.n, bits), "cnb", "strong product coloring")
 
@@ -515,30 +491,22 @@ def prism_colorings(n: int) -> list[Coloring]:
 
 
 def color_hypercube(dim: int) -> tuple[Graph, Coloring]:
-    """Hypercube coloring built by alternating the two product rules up the
-    dimensions: closed-balanced for odd dim, open-balanced for even dim."""
+    """Hypercube coloring, closed-balanced for odd dim and open-balanced
+    for even dim.
+
+    Closed form of the product tower that starts from Q_1 = K2 colored
+    red/blue and alternates color_cartesian(K2, RB, Q_{k-1}, .) at odd k
+    (the new top bit flips the colors) with color_box_k2(Q_{k-1}, .) at
+    even k (the new low bit copies them): v is red iff v >> dim // 2 has
+    the parity of dim // 2 + dim + 1.
+    """
     if dim < 0:
         raise FamilyParameterError("dimension must be non-negative")
-    g = hypercube(0)
-    col = Coloring(1, 0)
-    k2 = complete(2)
-    rb = Coloring(2, 1)  # vertex 0 red, vertex 1 blue
-    for k in range(1, dim + 1):
-        if k % 2 == 1:
-            # odd step: cnb(K2) x nb(Q_{k-1}) gives cnb(Q_k)
-            if k == 1:
-                g, col = k2, rb
-            else:
-                col = color_cartesian(k2, rb, g, col)
-                g = cartesian(k2, g)
-        else:
-            col = color_box_k2(g, col)
-            g = cartesian(g, k2)
-    expected = hypercube(dim)
-    if g != expected:  # pragma: no cover
-        raise RuntimeError("internal error: product iteration left the cube labeling")
+    g, h = hypercube(dim), dim // 2
+    red = (h + dim + 1) % 2
+    bits = sum(1 << v for v in range(g.n) if (v >> h).bit_count() % 2 == red)
     mode: Mode = "cnb" if dim % 2 == 1 else "nb"
-    return expected, checked_output(expected, col, mode, "hypercube coloring")
+    return g, checked_output(g, Coloring(g.n, bits), mode, "hypercube coloring")
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise ValueError(f"bad header line: {exc}") from exc
+    if n >= _MAX_ORDER:  # graph6's limit, checked before rows are allocated
+        raise ValueError(f"order {n} unsupported: inputs stop below {_MAX_ORDER} vertices")
     if len(lines) - 1 != m:
         raise ValueError(f"header promises {m} edges, found {len(lines) - 1} lines")
     edges = []

@@ -5,6 +5,8 @@ numbering, so constructive colorers can address vertices arithmetically
 (parity patterns, residues mod 4). Adjacency rows are Python ints used as
 bitsets: the verification and search code is dominated by popcounts over
 neighborhoods, and ``int.bit_count`` is the cheapest primitive for that.
+The four standard products share one kernel and number vertex (i, j) as
+i * h.n + j; complete bipartite graphs and stars are joins of edgeless ones.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ def star(leaves: int) -> Graph:
     """Star with center 0 and the given number of leaves 1..leaves."""
     if leaves < 0:
         raise FamilyParameterError("leaf count must be non-negative")
-    return Graph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+    return complete_bipartite(1, leaves)
 
 
 def wheel(n: int) -> Graph:
@@ -148,10 +150,7 @@ def complete_bipartite(m: int, n: int) -> Graph:
     """Complete bipartite graph with sides 0..m-1 and m..m+n-1."""
     if m < 0 or n < 0:
         raise FamilyParameterError("side sizes must be non-negative")
-    left = (1 << m) - 1
-    right = ((1 << n) - 1) << m
-    rows = [right] * m + [left] * n
-    return Graph(m + n, tuple(rows))
+    return join(empty_graph(m), empty_graph(n))
 
 
 def circulant(n: int, lengths: Iterable[int]) -> Graph:
@@ -334,57 +333,42 @@ def join(g: Graph, h: Graph) -> Graph:
     return Graph(g.n + h.n, tuple(rows))
 
 
-def cartesian(g: Graph, h: Graph) -> Graph:
-    """Cartesian product; vertex (i, j) is encoded as i * h.n + j."""
+def spread(mask: int, width: int) -> int:
+    """Bit k * width for each bit k of mask. Multiplying a row of at most
+    width bits by it ORs one copy of the row into each chosen block."""
+    return sum(1 << (k * width) for k in bits(mask))
+
+
+def _product(g: Graph, h: Graph, inner: Sequence[int], across: Sequence[int]) -> Graph:
+    """The product kernel; vertex (i, j) is encoded as i * h.n + j. It takes
+    row inner[j] inside layer i and row across[j] in every layer adjacent to
+    i in g (bitsets over h)."""
+    m = h.n
     rows = []
-    for i in range(g.n):
-        shifted = [1 << (k * h.n) for k in bits(g.adj[i])]
-        for j in range(h.n):
-            row = h.adj[j] << (i * h.n)
-            for base in shifted:
-                row |= base << j
-            rows.append(row)
-    return Graph(g.n * h.n, tuple(rows))
+    for i, grow in enumerate(g.adj):
+        layers = spread(grow, m)
+        rows.extend((inner[j] << (i * m)) | across[j] * layers for j in range(m))
+    return Graph(g.n * m, tuple(rows))
+
+
+def cartesian(g: Graph, h: Graph) -> Graph:
+    """Cartesian product: (i, j) ~ (k, l) iff i = k and j ~ l, or i ~ k and j = l."""
+    return _product(g, h, h.adj, [1 << j for j in range(h.n)])
 
 
 def strong(g: Graph, h: Graph) -> Graph:
-    """Strong product; vertex (i, j) is encoded as i * h.n + j."""
-    rows = []
-    for i in range(g.n):
-        gnbrs = list(bits(g.adj[i]))
-        for j in range(h.n):
-            row = h.adj[j] << (i * h.n)
-            for k in gnbrs:
-                row |= (h.adj[j] | (1 << j)) << (k * h.n)
-            rows.append(row)
-    return Graph(g.n * h.n, tuple(rows))
+    """Strong product: the cartesian edges plus (i, j) ~ (k, l) for i ~ k and j ~ l."""
+    return _product(g, h, h.adj, [row | 1 << j for j, row in enumerate(h.adj)])
 
 
 def lexicographic(g: Graph, h: Graph) -> Graph:
-    """Lexicographic product; vertex (i, j) is encoded as i * h.n + j."""
-    hfull = (1 << h.n) - 1
-    rows = []
-    for i in range(g.n):
-        gnbrs = list(bits(g.adj[i]))
-        for j in range(h.n):
-            row = h.adj[j] << (i * h.n)
-            for k in gnbrs:
-                row |= hfull << (k * h.n)
-            rows.append(row)
-    return Graph(g.n * h.n, tuple(rows))
+    """Lexicographic product: (i, j) ~ (k, l) iff i ~ k, or i = k and j ~ l."""
+    return _product(g, h, h.adj, [(1 << h.n) - 1] * h.n)
 
 
 def direct(g: Graph, h: Graph) -> Graph:
-    """Direct (tensor) product; vertex (i, j) is encoded as i * h.n + j."""
-    rows = []
-    for i in range(g.n):
-        gnbrs = list(bits(g.adj[i]))
-        for j in range(h.n):
-            row = 0
-            for k in gnbrs:
-                row |= h.adj[j] << (k * h.n)
-            rows.append(row)
-    return Graph(g.n * h.n, tuple(rows))
+    """Direct (tensor) product: (i, j) ~ (k, l) iff i ~ k and j ~ l."""
+    return _product(g, h, (0,) * h.n, h.adj)
 
 
 _PRODUCTS = {

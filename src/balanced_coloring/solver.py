@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
+import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Literal
@@ -352,8 +352,9 @@ def enumerate_colorings(
     """All balanced colorings of g in lexicographic R/B-text order.
 
     Both members of every color-swap pair are present (no symmetry breaking,
-    so counts are raw). With a cap the result is the lexicographic prefix and
-    ``capped`` reports the cut; every returned coloring is re-verified.
+    so counts are raw). The search has solve's default budget, read at call
+    time. ``capped`` marks a lexicographic prefix: the cap was reached or the
+    budget ran out. Every returned coloring is re-verified.
     """
     mode = check_mode(mode)
     if cap is not None and cap < 1:
@@ -362,12 +363,19 @@ def enumerate_colorings(
     search = _open_search(g, mode)
     if search is None:
         return EnumerationOutcome((), False, _stats(search, t0))
-    runs = search.full_assignments(search._lowest, (0, 1), math.inf, math.inf)
-    masks = list(itertools.islice(runs, cap))
+    deadline = time.monotonic() + DEFAULT_MAX_MILLIS / 1000.0
+    runs = search.full_assignments(search._lowest, (0, 1), deadline, DEFAULT_MAX_NODES)
+    masks: list[int] = []
+    try:
+        for red in itertools.islice(runs, cap):
+            masks.append(red)
+    except _LimitExceeded:
+        capped = True
+    else:
+        capped = cap is not None and len(masks) >= cap
     colorings = tuple(
         checked_output(g, Coloring(g.n, m), mode, "enumerated coloring") for m in masks
     )
-    capped = cap is not None and len(masks) >= cap
     return EnumerationOutcome(colorings, capped, _stats(search, t0))
 
 
@@ -380,11 +388,13 @@ def census(
     """Order-preserving map of solve over a graph stream.
 
     Per-item timeouts are recorded in their outcome and the stream continues.
-    With workers > 1 the instances run in a process pool; output order still
-    matches input order, and results are identical to a serial run because
-    solve itself is deterministic.
+    With workers > 1 (at most os.cpu_count()) the instances run in a process
+    pool; output order still matches input order, and results are identical
+    to a serial run because solve itself is deterministic.
     """
     mode = check_mode(mode)
+    # the pool forks all its workers at the first submit, so cap the count
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         for g in graphs:
             yield solve(g, mode, budget)

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from itertools import product as _iproduct
 from typing import Iterator, Sequence
 
-from .coloring import Coloring, InvalidColoringError, checked_output, require_valid
+from .coloring import (
+    Coloring, InvalidColoringError, checked_output, leaf_overload, require_valid,
+)
 from .graphs import Graph, bits, is_tree
 
 
@@ -126,8 +128,12 @@ class TreeBuildScript:
 
     @classmethod
     def from_dict(cls, data: dict) -> TreeBuildScript:
+        if not isinstance(data, dict):
+            raise MalformedScriptError(
+                f"script must be a JSON object, got {type(data).__name__}"
+            )
         try:
-            base = tuple(data.get("base", (0, 1)))
+            base = tuple(int(b) for b in data.get("base", (0, 1)))
             steps = tuple(
                 AdditionStep(
                     z=int(s["z"]), v=int(s["v"]), x=int(s["x"]),
@@ -139,7 +145,7 @@ class TreeBuildScript:
             raise MalformedScriptError(f"bad script payload: {exc}") from exc
         if len(base) != 2:
             raise MalformedScriptError("base must list exactly two vertices")
-        return cls(steps=steps, base=(int(base[0]), int(base[1])))
+        return cls(steps=steps, base=base)
 
 
 def replay(script: TreeBuildScript) -> tuple[Graph, Coloring]:
@@ -225,11 +231,8 @@ def decompose_cnbc_tree(t: Graph) -> TreeBuildScript | None:
     n = t.n
     if n % 4 != 2:
         return None
-    degs = list(t.degrees())
-    for v in range(n):
-        leaf_nbrs = sum(1 for u in bits(t.adj[v]) if degs[u] == 1)
-        if 2 * leaf_nbrs > degs[v] + 1:
-            return None
+    if leaf_overload(t, t.degrees()) is not None:
+        return None
     adj = list(t.adj)
     alive = (1 << n) - 1
     count = n
@@ -270,8 +273,6 @@ def decompose_cnbc_tree(t: Graph) -> TreeBuildScript | None:
 def prufer_decode(seq: Sequence[int]) -> Graph:
     """Tree on len(seq) + 2 vertices from a Prufer sequence."""
     n = len(seq) + 2
-    if n == 2:
-        return Graph(2, (2, 1))
     degree = [1] * n
     for s in seq:
         if not 0 <= s < n:
@@ -306,9 +307,6 @@ def labeled_trees(n: int) -> Iterator[Graph]:
     if n == 1:
         yield Graph(1, (0,))
         return
-    if n == 2:
-        yield Graph(2, (2, 1))
-        return
     for seq in _iproduct(range(n), repeat=n - 2):
         yield prufer_decode(seq)
 
@@ -319,6 +317,4 @@ def random_labeled_tree(n: int, rng: random.Random) -> Graph:
         raise ValueError("need at least one vertex")
     if n == 1:
         return Graph(1, (0,))
-    if n == 2:
-        return Graph(2, (2, 1))
     return prufer_decode([rng.randrange(n) for _ in range(n - 2)])

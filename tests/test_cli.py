@@ -5,8 +5,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import balanced_coloring as bc
 from balanced_coloring import graph6 as g6
+from balanced_coloring import solver
 from balanced_coloring.cli import main
 
 from conftest import H6_EDGES
@@ -106,6 +109,15 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "prism", "4", "--cap", "3")
         data = jline(out)
         assert data["capped"] is True and data["count"] == 3
+        assert code == 0
+
+    @pytest.mark.parametrize("cap", [[], ["--cap", "20"]])
+    def test_budget_cut_exits_3(self, capsys, monkeypatch, cap):
+        monkeypatch.setattr(solver, "DEFAULT_MAX_NODES", 10)
+        code, out, _ = run(capsys, "enumerate", "hypercube", "4", "--mode", "nb", *cap)
+        data = jline(out)
+        assert code == 3
+        assert data["capped"] is True and 0 < data["count"] < 20
 
 
 class TestCensus:
@@ -267,6 +279,16 @@ class TestTree:
     def test_replay_requires_script(self, capsys):
         code, _, err = run(capsys, "tree", "replay")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "payload", [[], "x", {"base": [0, None], "steps": []}],
+    )
+    def test_replay_malformed_payload_is_usage_error(self, capsys, tmp_path, payload):
+        sp = tmp_path / "script.json"
+        sp.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "tree", "replay", "--script", str(sp))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
 
 
 class TestBrokenPipe:

@@ -301,6 +301,14 @@ class TestHypercubes:
             mode = "cnb" if k % 2 == 1 else "nb"
             assert bc.verify(g, col, mode)
 
+    @pytest.mark.parametrize("dim, text", enumerate([
+        "B", "RB", "RRBB", "BBRRRRBB", "BBBBRRRRRRRRBBBB",
+        "RRRRBBBBBBBBRRRRBBBBRRRRRRRRBBBB",
+    ]))
+    def test_colorings_pinned(self, dim, text):
+        # the bits the iterated product construction gave
+        assert bc.color_hypercube(dim)[1].to_text() == text
+
 
 class TestPrismColorings:
     def test_odd_is_empty(self):

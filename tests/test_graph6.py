@@ -130,3 +130,9 @@ class TestEdgeList:
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             g6.parse_edge_list(text)
+
+    def test_order_limit_is_graph6s(self):
+        # rejected from the header alone, before any rows are allocated
+        with pytest.raises(ValueError, match="order"):
+            g6.parse_edge_list(f"{1 << 18} 0\n")
+        assert g6.parse_edge_list("5 0\n") == bc.empty_graph(5)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import balanced_coloring as bc
-from balanced_coloring import Budget, Coloring
+from balanced_coloring import Budget, Coloring, solver
 
 from conftest import H7_COLORING, brute_force_masks, random_graph
 
@@ -167,6 +167,16 @@ class TestEnumeration:
         out = bc.enumerate_colorings(bc.prism(8), "cnb")
         assert out.stats.nodes > 0
 
+    def test_budget_gives_verified_prefix(self, monkeypatch):
+        g = bc.hypercube(4)
+        full = [c.to_text() for c in bc.enumerate_colorings(g, "nb").colorings]
+        monkeypatch.setattr(solver, "DEFAULT_MAX_NODES", 10)
+        out = bc.enumerate_colorings(g, "nb")
+        texts = [c.to_text() for c in out.colorings]
+        assert out.capped
+        assert 0 < len(texts) < len(full) and texts == full[: len(texts)]
+        assert all(bc.verify(g, c, "nb") for c in out.colorings)
+
     def test_prism_counts(self):
         assert len(bc.enumerate_colorings(bc.prism(6), "cnb").colorings) == 2
         # frozen by the 2^12 brute force below
@@ -235,6 +245,32 @@ class TestCensus:
         parallel = [(o.status, o.witness.to_text() if o.witness else None)
                     for o in bc.census(graphs, "cnb", workers=3)]
         assert serial == parallel
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        # a fake pool: the real one would fork every worker it is asked for
+        import concurrent.futures
+
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(solver.os, "cpu_count", lambda: 3)
+        graphs = [bc.complete(2), bc.star(4), bc.prism(8)]
+        out = [o.status for o in bc.census(graphs, "cnb", workers=100_000)]
+        assert asked == [3]
+        assert out == [o.status for o in bc.census(graphs, "cnb")]
 
     def test_four_vertex_census(self):
         # labeled brute force confirms which 4-vertex graphs are colorable

@@ -241,6 +241,9 @@ class TestReplayAndScripts:
             {"steps": [{"z": 0}]},  # missing fields
             {"base": [1], "steps": []},
             {"base": [1, 1], "steps": []},
+            {"base": [0, None], "steps": []},
+            [],
+            "x",
         ],
     )
     def test_malformed_scripts_rejected(self, payload):
