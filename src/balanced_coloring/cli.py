@@ -48,10 +48,12 @@ def _read_text(spec: str) -> str:
 
 
 def _parse_family_tokens(tokens: Sequence[str]):
+    """Name and parameters; a token with a comma, and the connection set of a
+    circulant even without one (``circulant 12 6``), is a tuple of ints."""
     name = tokens[0]
     params = []
-    for tok in tokens[1:]:
-        if "," in tok:
+    for pos, tok in enumerate(tokens[1:]):
+        if "," in tok or (name == "circulant" and pos == 1):
             try:
                 params.append(tuple(int(p) for p in tok.split(",") if p))
             except ValueError as exc:

@@ -5,10 +5,15 @@ byte 126 followed by three base-64 digits, supporting n < 2**18), then the
 upper triangle of the adjacency matrix in column-major order, bit x(i, j)
 for j = 1..n-1 and i = 0..j-1, packed six bits per byte with 63 added to
 every byte so the result stays printable ASCII.
+
+That packing is base64 with its 64 digits spelled as the bytes 63..126, so
+the C ``binascii`` codec packs and unpacks the body; the Python code around
+it steps once per column and once per edge, never once per bit.
 """
 
 from __future__ import annotations
 
+import binascii
 from typing import Iterable, Iterator
 
 from .graphs import Graph
@@ -16,6 +21,11 @@ from .graphs import Graph
 _OFFSET = 63
 _MAX_ORDER = 1 << 18
 _HEADER_PREFIX = ">>graph6<<"
+# a graph6 digit is a base64 digit spelled with the bytes 63..126 in order
+_GRAPH6_DIGITS = bytes(range(_OFFSET, 127))
+_BASE64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_GRAPH6 = bytes.maketrans(_BASE64_DIGITS, _GRAPH6_DIGITS)
+_FROM_GRAPH6 = bytes.maketrans(_GRAPH6_DIGITS, _BASE64_DIGITS)
 
 
 class Graph6Error(ValueError):
@@ -33,38 +43,36 @@ def encode(g: Graph) -> str:
     if n >= _MAX_ORDER:
         raise ValueError(f"graph6 support here stops below {_MAX_ORDER} vertices")
     if n <= 62:
-        out = [chr(n + _OFFSET)]
+        header = bytes((n + _OFFSET,))
     else:
-        out = [
-            chr(126),
-            chr(((n >> 12) & 63) + _OFFSET),
-            chr(((n >> 6) & 63) + _OFFSET),
-            chr((n & 63) + _OFFSET),
-        ]
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            acc = (acc << 1) | ((col >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + _OFFSET))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + _OFFSET))
-    return "".join(out)
+        header = bytes((
+            126,
+            ((n >> 12) & 63) + _OFFSET,
+            ((n >> 6) & 63) + _OFFSET,
+            (n & 63) + _OFFSET,
+        ))
+    adj = g.adj
+    # column j is bits x(0, j) .. x(j-1, j): the low j bits of row j written
+    # backwards, read from bin() under a sentinel bit j that [:2:-1] drops
+    bits = "".join(
+        [bin((adj[j] & ((1 << j) - 1)) | (1 << j))[:2:-1] for j in range(1, n)]
+    )
+    nbits = len(bits)
+    width = -(-nbits // 24) * 24  # whole base64 quanta of 3 bytes
+    packed = (int(bits or "0", 2) << (width - nbits)).to_bytes(width // 8, "big")
+    body = binascii.b2a_base64(packed, newline=False).translate(_TO_GRAPH6)
+    return (header + body[: -(-nbits // 6)]).decode("ascii")
 
 
 def decode(text: str | bytes) -> Graph:
     """Decode one graph6 string; raises Graph6Error with a byte offset."""
     data = text.encode("ascii") if isinstance(text, str) else bytes(text)
-    for off, byte in enumerate(data):
-        if not _OFFSET <= byte <= 126:
-            raise Graph6Error(
-                "non-printable-byte", off, f"byte value {byte} outside 63..126"
-            )
+    bad = data.translate(None, _GRAPH6_DIGITS)
+    if bad:
+        off = data.index(bad[0])  # the first bad byte is the first of its value
+        raise Graph6Error(
+            "non-printable-byte", off, f"byte value {bad[0]} outside 63..126"
+        )
     if not data:
         raise Graph6Error("malformed-header", 0, "empty input")
     if data[0] == 126:
@@ -99,26 +107,27 @@ def decode(text: str | bytes) -> Graph:
         raise Graph6Error(
             "trailing-data", body_start + nbytes, "extra bytes after the bit body"
         )
-    rows = [0] * n
-    bit = 0
-    j = 1
-    i = 0
-    for pos in range(body_start, len(data)):
-        value = data[pos] - _OFFSET
-        for k in range(5, -1, -1):
-            if bit == nbits:
-                break
-            if (value >> k) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            bit += 1
-            i += 1
-            if i == j:
-                j += 1
-                i = 0
     pad = nbytes * 6 - nbits
     if pad and (data[-1] - _OFFSET) & ((1 << pad) - 1):
         raise Graph6Error("nonzero-padding", len(data) - 1, "padding bits must be zero")
+    # "A" is the base64 zero digit; a2b_base64 wants whole 4-digit quanta
+    digits = data[body_start:].translate(_FROM_GRAPH6) + b"A" * (-nbytes % 4)
+    packed = binascii.a2b_base64(digits)
+    # backwards is the body's nbits bits reversed, read from bin() under a
+    # sentinel byte: column j, body bits x(0, j) .. x(j-1, j) from bit
+    # j(j-1)/2 on, is the slice that ends nbits - j(j-1)/2 and reads as row
+    # j's neighbors below j
+    backwards = bin(int.from_bytes(b"\x01" + packed, "big"))[nbits + 2 : 2 : -1]
+    rows = [0] * n
+    end = nbits
+    for j in range(1, n):
+        rows[j] = col = int(backwards[end - j : end], 2)
+        end -= j
+        bit_j = 1 << j
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= bit_j
+            col ^= low
     return Graph(n, tuple(rows))
 
 

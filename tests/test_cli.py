@@ -237,6 +237,12 @@ class TestFamily:
                              "--coloring", data["witness"], "--mode", data["mode"])
         assert code2 == 0
 
+    def test_circulant_single_length_needs_no_comma(self, capsys):
+        code, out, err = run(capsys, "family", "circulant", "12", "6")
+        code_comma, out_comma, _ = run(capsys, "family", "circulant", "12", "6,")
+        assert (code, err) == (0, "")
+        assert out == out_comma and code == code_comma
+
     def test_bad_family_is_usage_error(self, capsys):
         code, _, err = run(capsys, "family", "nonesuch", "3")
         assert code == 2

@@ -1,6 +1,7 @@
 """graph6 codec and edge-list format, cross-checked against networkx."""
 
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import balanced_coloring as bc
 from balanced_coloring import graph6 as g6
 
-from conftest import random_graph
+from conftest import random_graph, ref_graph6_decode, ref_graph6_encode
 
 
 def nx_encode(g: bc.Graph) -> str:
@@ -43,8 +44,15 @@ def test_known_small_encodings_match_reference():
 
 
 def test_long_header_orders():
-    for n in (63, 100, 1000):
-        g = bc.empty_graph(n)
+    rng = random.Random(300)
+    for g in [
+        bc.empty_graph(63),
+        bc.empty_graph(100),
+        bc.empty_graph(1000),
+        bc.hypercube(10),
+        bc.circulant(256, (1, 9, 49, 128)),
+        random_graph(rng, 300, 0.3),
+    ]:
         enc = g6.encode(g)
         assert enc[0] == "~"
         assert g6.decode(enc) == g
@@ -67,24 +75,29 @@ def test_reference_agreement_random():
         assert g6.decode(nx_encode(g)) == g
 
 
+ERROR_CASES = [
+    (b"", "malformed-header", 0),
+    (b"D?", "truncated-body", 2),
+    (b"D?{{", "trailing-data", 3),
+    (bytes([30, 63]), "non-printable-byte", 0),
+    (b"D?" + bytes([200]), "non-printable-byte", 2),
+    (b"~?", "malformed-header", 2),
+    (b"~~", "malformed-header", 1),
+    (b"~??D", "malformed-header", 0),  # long form used for a small order
+]
+
+
+# a case is named by payload and kind; the offset is what it must report
 @pytest.mark.parametrize(
-    "payload,kind",
-    [
-        (b"", "malformed-header"),
-        (b"D?", "truncated-body"),
-        (b"D?{{", "trailing-data"),
-        (bytes([30, 63]), "non-printable-byte"),
-        (b"D?" + bytes([200]), "non-printable-byte"),
-        (b"~?", "malformed-header"),
-        (b"~~", "malformed-header"),
-        (b"~??D", "malformed-header"),  # long form used for a small order
-    ],
+    "payload,kind,offset",
+    ERROR_CASES,
+    ids=[f"{payload.decode('latin-1')}-{kind}" for payload, kind, _ in ERROR_CASES],
 )
-def test_decode_error_kinds(payload, kind):
+def test_decode_error_kinds(payload, kind, offset):
     with pytest.raises(g6.Graph6Error) as exc:
         g6.decode(payload)
     assert exc.value.kind == kind
-    assert isinstance(exc.value.offset, int)
+    assert exc.value.offset == offset
 
 
 def test_nonzero_padding_rejected():
@@ -95,17 +108,71 @@ def test_nonzero_padding_rejected():
     assert exc.value.kind == "nonzero-padding"
 
 
+def random_payloads(seed: int, low: int, high: int):
+    """20,000 seeded byte strings of length 0..11 with bytes in low..high-1."""
+    rng = random.Random(seed)
+    for _ in range(20_000):
+        yield bytes(rng.randrange(low, high) for _ in range(rng.randrange(0, 12)))
+
+
 def test_decode_is_total_on_random_bytes():
     # every input either raises Graph6Error or decodes to a graph whose
     # canonical encoding is exactly the input
-    rng = random.Random(31337)
-    for _ in range(20_000):
-        payload = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 12)))
+    for payload in random_payloads(31337, 0, 256):
         try:
             g = g6.decode(payload)
         except g6.Graph6Error:
             continue
         assert g6.encode(g).encode("ascii") == payload
+
+
+def decode_outcome(decode, payload):
+    try:
+        return decode(payload)
+    except g6.Graph6Error as exc:
+        return (exc.kind, exc.offset, str(exc))
+
+
+class TestAgainstReference:
+    """The binascii codec against the per-bit reference in conftest."""
+
+    def check(self, g: bc.Graph) -> str:
+        enc = g6.encode(g)
+        assert enc == ref_graph6_encode(g)
+        assert g6.decode(enc) == g == ref_graph6_decode(enc)
+        return enc
+
+    def test_every_graph_to_order_6(self):
+        count = 0
+        for n in range(7):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                edges = [e for k, e in enumerate(pairs) if mask >> k & 1]
+                self.check(bc.Graph.from_edges(n, edges))
+                count += 1
+        assert count == 1 + 1 + 2 + 8 + 64 + 1024 + 32768
+
+    def test_header_switch_and_every_padding(self):
+        rng = random.Random(6163)
+        orders = [*range(61, 66), *range(126, 131), 258]
+        for n in orders:
+            for p in (0.0, 0.5, 1.0):
+                enc = self.check(random_graph(rng, n, p))
+                assert (enc[0] == "~") == (n >= 63)
+        # every pad width an order can leave (0, 2, 3, 5 bits) and every
+        # body length mod 4, the unit of a base64 quantum, is covered
+        nbits = [n * (n - 1) // 2 for n in orders]
+        assert {-b % 6 for b in nbits} == {-(n * (n - 1) // 2) % 6 for n in range(12)}
+        assert {-(-b // 6) % 4 for b in nbits} == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("low,high", [(0, 256), (60, 128)])
+    def test_random_payloads_same_graph_or_error(self, low, high):
+        # (0, 256) are the payloads of test_decode_is_total_on_random_bytes;
+        # (60, 128) are mostly printable and reach the body checks
+        for payload in random_payloads(31337, low, high):
+            assert decode_outcome(g6.decode, payload) == decode_outcome(
+                ref_graph6_decode, payload
+            )
 
 
 def test_iter_graph6_skips_header_and_blanks():
