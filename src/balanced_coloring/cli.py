@@ -37,14 +37,22 @@ class InputError(Exception):
     """Bad file contents or inconsistent graph-source flags."""
 
 
-def _read_text(spec: str) -> str:
+def _read_text(spec: str, encoding: str = "ascii") -> str:
     if spec == "-":
-        return sys.stdin.read()
+        return sys.stdin.buffer.read().decode(encoding)
     try:
-        with open(spec, "r", encoding="ascii") as fh:
+        with open(spec, "r", encoding=encoding) as fh:
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {spec}: {exc}") from exc
+
+
+def _graph6_lines(spec: str) -> list[str]:
+    """Lines of a graph6 file, read as latin-1 so that every byte is one
+    character (a byte past ASCII then fails graph6's own screen, with its
+    offset) and split at newlines only (str.splitlines also splits at the
+    bytes 0x1c-0x1e and 0x85)."""
+    return _read_text(spec, "latin-1").split("\n")
 
 
 def _parse_family_tokens(tokens: Sequence[str]):
@@ -79,7 +87,7 @@ def _load_graph(args) -> Graph:
         name, params = _parse_family_tokens(args.family)
         return build_family(name, *params)
     if args.input:
-        g = next(g6.iter_graph6(_read_text(args.input).splitlines()), None)
+        g = next(g6.iter_graph6(_graph6_lines(args.input)), None)
         if g is None:
             raise InputError(f"no graph6 line found in {args.input}")
         return g
@@ -152,9 +160,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    text = _read_text(args.input)
     try:
-        graphs = list(g6.iter_graph6(text.splitlines()))
+        graphs = list(g6.iter_graph6(_graph6_lines(args.input)))
     except g6.Graph6Error as exc:
         raise InputError(str(exc)) from exc
     workers = args.workers

@@ -45,6 +45,11 @@ from .graphs import (
 )
 
 
+# circulant_nullity takes at most about 50 ms up to this order; past it the
+# cyclotomic divisions of highly composite orders grow to seconds
+_SPECTRUM_MAX_ORDER = 2048
+
+
 class NotColorableError(ValueError):
     """A constructive coloring was requested for a no-instance."""
 
@@ -315,8 +320,10 @@ def characterize_circulant(
     """Best theorem-only verdict for an arbitrary circulant.
 
     Applies the degree-parity obstruction, gcd reduction, the cubic and
-    quintic characterizations, the constructive routes, and (once) the
-    complement bridge to the opposite mode.
+    quintic characterizations, the constructive routes, (once) the
+    complement bridge to the opposite mode, and last the exact spectrum:
+    no balanced coloring exists when the balance matrix is nonsingular
+    (``linalg.circulant_nullity``). The quintic open case stays unknown.
     """
     check_mode(mode)
     n = spec.n
@@ -373,6 +380,18 @@ def characterize_circulant(
                 f"complement circulant is {other}-decided: {inner.reason}",
                 theorem=inner.theorem,
                 witness=witness,
+            )
+        # last, so that every cited criterion keeps its name and witness;
+        # imported on first use, like in solver.solve, to keep start-up short
+        from .linalg import circulant_nullity
+
+        if n <= _SPECTRUM_MAX_ORDER and circulant_nullity(n, spec.lengths, mode) == 0:
+            matrix = "A + I" if mode == "cnb" else "A"
+            return CharacterizationVerdict(
+                "no",
+                f"{matrix} is nonsingular: no cyclotomic Phi_m with m | {n} "
+                "divides the symbol",
+                theorem="circulant-spectrum",
             )
     return CharacterizationVerdict("unknown", "no cited criterion applies")
 

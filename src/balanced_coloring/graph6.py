@@ -16,11 +16,12 @@ from __future__ import annotations
 import binascii
 from typing import Iterable, Iterator
 
-from .graphs import Graph
+from .graphs import MAX_ORDER as _MAX_ORDER, Graph
 
 _OFFSET = 63
-_MAX_ORDER = 1 << 18
 _HEADER_PREFIX = ">>graph6<<"
+# str.strip() would also drop the control bytes 0x1c-0x1f, which graph6 rejects
+_WHITESPACE = " \t\n\r\x0b\x0c"
 # a graph6 digit is a base64 digit spelled with the bytes 63..126 in order
 _GRAPH6_DIGITS = bytes(range(_OFFSET, 127))
 _BASE64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
@@ -65,7 +66,11 @@ def encode(g: Graph) -> str:
 
 
 def decode(text: str | bytes) -> Graph:
-    """Decode one graph6 string; raises Graph6Error with a byte offset."""
+    """Decode one graph6 string; raises Graph6Error with a byte offset (for
+    a str, the offset of the character)."""
+    if isinstance(text, str) and not text.isascii():
+        off, ch = next((i, ch) for i, ch in enumerate(text) if not 63 <= ord(ch) <= 126)
+        raise Graph6Error("non-printable-byte", off, f"character {ch!r} outside 63..126")
     data = text.encode("ascii") if isinstance(text, str) else bytes(text)
     bad = data.translate(None, _GRAPH6_DIGITS)
     if bad:
@@ -133,11 +138,11 @@ def decode(text: str | bytes) -> Graph:
 
 def iter_graph6(lines: Iterable[str]) -> Iterator[Graph]:
     """Decode a stream of graph6 lines, skipping blanks and the optional
-    '>>graph6<<' file header."""
+    '>>graph6<<' file header; only ASCII whitespace is stripped."""
     for line in lines:
-        s = line.strip()
+        s = line.strip(_WHITESPACE)
         if s.startswith(_HEADER_PREFIX):
-            s = s[len(_HEADER_PREFIX):].strip()
+            s = s[len(_HEADER_PREFIX):].strip(_WHITESPACE)
         if not s:
             continue
         yield decode(s)

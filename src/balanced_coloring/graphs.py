@@ -17,6 +17,10 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 
+# graph6's limit; build_family refuses members this large before building them
+MAX_ORDER = 1 << 18
+
+
 class FamilyParameterError(ValueError):
     """Parameters outside a graph family's domain."""
 
@@ -196,18 +200,25 @@ def prism(n: int) -> Graph:
     return cartesian(complete(2), cycle(n))
 
 
-_FAMILIES: dict[str, tuple[int, Callable[..., Graph]]] = {
-    "empty": (1, lambda n: empty_graph(int(n))),
-    "complete": (1, lambda n: complete(int(n))),
-    "path": (1, lambda n: path(int(n))),
-    "cycle": (1, lambda n: cycle(int(n))),
-    "star": (1, lambda m: star(int(m))),
-    "wheel": (1, lambda n: wheel(int(n))),
-    "complete-bipartite": (2, lambda m, n: complete_bipartite(int(m), int(n))),
-    "circulant": (2, lambda n, lengths: circulant(int(n), tuple(lengths))),
-    "gen-petersen": (2, lambda n, d: gen_petersen(int(n), int(d))),
-    "hypercube": (1, lambda dim: hypercube(int(dim))),
-    "prism": (1, lambda n: prism(int(n))),
+# name: (arity, order of the member, builder); the order is computed from
+# the parameters alone, so an oversized member is refused before it exists
+_FAMILIES: dict[str, tuple[int, Callable[..., int], Callable[..., Graph]]] = {
+    "empty": (1, int, lambda n: empty_graph(int(n))),
+    "complete": (1, int, lambda n: complete(int(n))),
+    "path": (1, int, lambda n: path(int(n))),
+    "cycle": (1, int, lambda n: cycle(int(n))),
+    "star": (1, lambda m: int(m) + 1, lambda m: star(int(m))),
+    "wheel": (1, lambda n: int(n) + 1, lambda n: wheel(int(n))),
+    "complete-bipartite": (
+        2, lambda m, n: int(m) + int(n), lambda m, n: complete_bipartite(int(m), int(n))
+    ),
+    "circulant": (2, lambda n, _: int(n), lambda n, lengths: circulant(int(n), tuple(lengths))),
+    "gen-petersen": (2, lambda n, _: 2 * int(n), lambda n, d: gen_petersen(int(n), int(d))),
+    "hypercube": (
+        1, lambda dim: 1 << max(0, min(int(dim), MAX_ORDER.bit_length())),
+        lambda dim: hypercube(int(dim)),
+    ),
+    "prism": (1, lambda n: 2 * int(n), lambda n: prism(int(n))),
 }
 _FAMILIES["gp"] = _FAMILIES["gen-petersen"]
 
@@ -221,10 +232,15 @@ def build_family(kind: str, *params) -> Graph:
     if kind not in _FAMILIES:
         known = ", ".join(sorted(_FAMILIES))
         raise FamilyParameterError(f"unknown family {kind!r}; known: {known}")
-    arity, builder = _FAMILIES[kind]
+    arity, order, builder = _FAMILIES[kind]
     if len(params) != arity:
         raise FamilyParameterError(f"family {kind!r} takes {arity} parameter(s)")
     try:
+        if order(*params) >= MAX_ORDER:
+            raise FamilyParameterError(
+                f"{kind!r} member would have {MAX_ORDER} or more vertices; "
+                f"orders stop below {MAX_ORDER}"
+            )
         return builder(*params)
     except FamilyParameterError:
         raise

@@ -1,0 +1,335 @@
+"""Exact linear certificates for balanced colorings.
+
+Write a coloring as c in {+1, -1}^n (red +1, blue -1). Row v of M c, with
+M = A + I for closed neighborhoods (cnb) and M = A for open ones (nb), is
+the red-minus-blue count of v's neighborhood, so c is balanced exactly when
+M c = 0. Two tools use that linear structure.
+
+Circulants (``circulant_nullity``). A circulant's M is a polynomial in the
+cyclic shift, so its eigenvalues are f(zeta^j), j = 0..n-1, for the symbol
+f(x) = [cnb] + sum over lengths d of (x^d + x^(n-d)), a length d = n/2
+counted once, and zeta a primitive n-th root of unity. f has integer
+coefficients, so f(zeta^j) = 0 exactly when the minimal polynomial of
+zeta^j, the cyclotomic polynomial Phi_m with m = n / gcd(n, j), divides f;
+exactly phi(m) of the j have that m. The nullity of M (over the rationals,
+which equals its nullity over the complex numbers) is therefore the sum of
+phi(m) over the divisors m of n with Phi_m | f. Divisibility is tested by
+integer long division of f mod (x^m - 1) by the monic Phi_m. Standard
+source: Cvetkovic, Rowlinson and Simic, An Introduction to the Theory of
+Graph Spectra (2010), sections 1.1 and 3.
+
+Any graph (``kernel_verdict``). M is brought to row echelon form modulo
+the prime p = 2^61 - 1, and back substitution writes each pivot coordinate
+of a kernel vector as a fixed linear form in the free ones. A search over
+the signs of the free coordinates checks each pivot row as soon as all of
+its free variables are set.
+
+Soundness of the mod-p stage. Let c in {+1, -1}^n satisfy M c = 0 over the
+integers. Then M c = 0 mod p, so c lies in the mod-p kernel, and c is the
+kernel vector that the echelon form assigns to c's own free coordinates,
+which are +-1. So every rational +-1 kernel vector is a mod-p kernel vector
+with +-1 free coordinates, and the sign search, which tries every +-1
+assignment of the free coordinates and keeps those whose pivot coordinates
+come out as +-1 mod p, meets it. Hence:
+
+- mod-p nullity 0 (the rational nullity is at most the mod-p nullity)
+  leaves only the zero kernel vector: no balanced coloring exists;
+- when no sign assignment survives, no balanced coloring exists.
+
+Fixing the first free coordinate to +1 loses nothing, since c and -c are
+balanced together. A surviving candidate is a +-1 vector with M c = 0 mod
+p; every entry of M c lies in [-(n + 1), n + 1] and n + 1 < p, so M c = 0
+over the integers too. Each candidate is still verified exactly before it
+is returned.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+import time
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Literal, Sequence
+
+from .coloring import Coloring, Mode, check_mode, verify
+from .graphs import Graph, spread
+
+P = (1 << 61) - 1
+
+
+# ---------------------------------------------------------------------------
+# Circulants: the cyclotomic factors of the symbol
+# ---------------------------------------------------------------------------
+
+
+def _divmod_monic(num: list[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (coefficient lists,
+    constant term first) by a monic divisor; only den's nonzero terms are
+    visited, so a stretched divisor such as Phi_m(x^s) costs what Phi_m does."""
+    num = list(num)
+    deg = len(den) - 1
+    terms = [(e, a) for e, a in enumerate(den[:deg]) if a]
+    quot = [0] * max(len(num) - deg, 0)
+    for i in range(len(num) - 1, deg - 1, -1):
+        c = num[i]
+        if c:
+            base = i - deg
+            quot[base] = c
+            for e, a in terms:
+                num[base + e] -= c * a
+            num[i] = 0
+    return quot, num[:deg]
+
+
+def _stretch(poly: Sequence[int], s: int) -> list[int]:
+    """poly(x^s)."""
+    out = [0] * ((len(poly) - 1) * s + 1)
+    out[::s] = poly
+    return out
+
+
+def _prime_factors(m: int) -> list[int]:
+    out = []
+    q = 2
+    while q * q <= m:
+        if m % q == 0:
+            out.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
+@functools.cache
+def cyclotomic(m: int) -> tuple[int, ...]:
+    """Coefficients of the m-th cyclotomic polynomial, constant term first.
+
+    Phi_1 = x - 1; Phi_(r q)(x) = Phi_r(x^q) / Phi_r(x) for a prime q not
+    dividing r; and Phi_m(x) = Phi_r(x^(m / r)) for the radical r of m.
+    """
+    poly: list[int] = [-1, 1]
+    radical = 1
+    for q in _prime_factors(m):
+        poly = _divmod_monic(_stretch(poly, q), poly)[0]
+        radical *= q
+    return tuple(_stretch(poly, m // radical))
+
+
+def circulant_nullity(n: int, lengths: Iterable[int], mode: Mode) -> int:
+    """Nullity of A + I (cnb) or A (nb) for the circulant on Z_n whose
+    vertex i is adjacent to i +- d for each connection length d in 1..n/2.
+
+    The sum of phi(m) over the divisors m of n for which Phi_m divides the
+    symbol f(x) = [cnb] + sum_d (x^d + x^(n-d)) (module docstring).
+    """
+    check_mode(mode)
+    lengths = set(lengths)
+    total = 0
+    for m in range(1, n + 1):
+        if n % m:
+            continue
+        folded = [0] * m  # f mod (x^m - 1)
+        folded[0] = 1 if mode == "cnb" else 0
+        for d in lengths:
+            folded[d % m] += 1
+            if 2 * d != n:
+                folded[-d % m] += 1
+        phi = cyclotomic(m)
+        if not any(_divmod_monic(folded, phi)[1]):
+            total += len(phi) - 1
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Any graph: echelon form mod p and the sign search over its kernel
+# ---------------------------------------------------------------------------
+
+
+# Rows are packed one entry per _W-bit slot of a Python int, so one big-int
+# operation updates a whole row. Entries stay below 2^62: a row update adds
+# at most 2^61 * 2^62 < 2^124, and _fold brings a slot back under 2^62 with
+# the Mersenne identity 2^61 = 1 (mod P), never carrying into the next slot.
+_W = 128
+_SLOT = (1 << _W) - 1
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _packed(row: int, n: int) -> int:
+    """The 0/1 row as slots: bit j of row becomes slot j, through one
+    little-endian byte string with bit j at byte j * _W / 8."""
+    digits = bin(row)[:1:-1].encode().translate(_BIT_VALUES)  # bit 0 first
+    buf = bytearray(_W // 8 * n)
+    buf[: _W // 8 * len(digits) : _W // 8] = digits
+    return int.from_bytes(buf, "little")
+
+
+def _fold(x: int, low: int, high: int) -> int:
+    """Each slot of x (below 2^124) reduced to below 2^62, same value mod P;
+    low and high select the bits 0..60 and 0..66 of every slot."""
+    x = (x & low) + ((x >> 61) & high)
+    return (x & low) + ((x >> 61) & high)
+
+
+def echelon(rows: Sequence[int], n: int) -> tuple[list[int], list[int]]:
+    """Row echelon form mod P of the 0/1 matrix whose row i has entry j
+    equal to bit j of rows[i]: the pivot columns in increasing order, and
+    for pivot k its row right of pivots[k], packed (entry pivots[k] + 1 + t
+    in slot t, reduced mod P by the reader). The pivot entry itself is 1 and
+    everything left of it 0. Rows drop one slot per column, so slot 0 is
+    always the current column."""
+    ones = spread((1 << n) - 1, _W)
+    low, high = ones * ((1 << 61) - 1), ones * ((1 << 67) - 1)
+    m = [_packed(r, n) for r in rows]
+    pivots: list[int] = []
+    tails: list[int] = []
+    for col in range(n):
+        hit = next((i for i, x in enumerate(m) if (x & _SLOT) % P), -1)
+        if hit < 0:
+            m = [x >> _W for x in m]
+            continue
+        prow = m.pop(hit)
+        inv = pow((prow & _SLOT) % P, -1, P)
+        tail = _fold(prow * inv, low, high) >> _W
+        pivots.append(col)
+        tails.append(tail)
+        for i, x in enumerate(m):
+            f = (x & _SLOT) % P
+            m[i] = _fold((x >> _W) + (P - f) * tail, low, high) if f else x >> _W
+    return pivots, tails
+
+
+def _pivot_forms(
+    pivots: list[int], tails: list[int], n: int
+) -> tuple[list[int], list[list[int]]]:
+    """The free columns, and for pivot k the coefficients w[k][t] with
+    x[pivots[k]] = -sum over t of w[k][t] * x[free[t]] on the kernel: back
+    substitution from the last pivot up."""
+    pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
+    slot = {j: t for t, j in enumerate(free)}
+    where = {j: k for k, j in enumerate(pivots)}
+    forms: list[list[int]] = [[]] * len(pivots)
+    for k in range(len(pivots) - 1, -1, -1):
+        w = [0] * len(free)
+        for j in range(pivots[k] + 1, n):
+            a = ((tails[k] >> (_W * (j - pivots[k] - 1))) & _SLOT) % P
+            if a:
+                if j in slot:
+                    w[slot[j]] = (w[slot[j]] + a) % P
+                else:  # x[j] = -sum_t forms[where[j]][t] x[free[t]]
+                    w = [(x - a * y) % P for x, y in zip(w, forms[where[j]])]
+        forms[k] = w
+    return free, forms
+
+
+class _DeadlinePassed(Exception):
+    pass
+
+
+def _sign_candidates(
+    pivots: list[int], free: list[int], forms: list[list[int]], deadline: float,
+    counter: list[int],
+) -> Iterator[int]:
+    """Red mask of every +-1 vector in the mod-P kernel, the first free
+    coordinate +1, depth first over the free coordinates, +1 before -1.
+
+    Pivot r's coordinate is -(sum over t of forms[r][t] * c[free[t]]); it is
+    checked as soon as its last free variable is set. counter[0] counts
+    sign choices; the deadline is read every 1024 of them.
+    """
+    k = len(free)
+    # touch[t]: (row, coefficient) pairs of free coordinate t; due[t]: rows
+    # whose last nonzero coefficient is at t
+    touch: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    due: list[list[int]] = [[] for _ in range(k)]
+    for r, w in enumerate(forms):
+        last = -1
+        for t, a in enumerate(w):
+            if a:
+                touch[t].append((r, a))
+                last = t
+        if last < 0:
+            return  # this pivot coordinate is 0 in every kernel vector
+        due[last].append(r)
+    acc = [0] * len(forms)  # sum over set t of forms[r][t] * c[free[t]]
+    signs = [0] * k
+    tried = [0] * k
+    t = 0
+    while t >= 0:
+        if t == k:
+            red = 0
+            for j, s in zip(free, signs):
+                if s > 0:
+                    red |= 1 << j
+            for r, j in enumerate(pivots):
+                if acc[r] == P - 1:  # pivot coordinate -acc[r] = +1
+                    red |= 1 << j
+            yield red
+            t -= 1
+        elif tried[t] < (1 if t == 0 else 2):
+            s = 1 if tried[t] == 0 else -1
+            tried[t] += 1
+            counter[0] += 1
+            if not counter[0] & 1023 and time.monotonic() > deadline:
+                raise _DeadlinePassed
+            for r, c in touch[t]:
+                acc[r] = (acc[r] + (c if s > 0 else P - c)) % P
+            signs[t] = s
+            if all(acc[r] == 1 or acc[r] == P - 1 for r in due[t]):
+                t += 1
+                continue
+        else:
+            tried[t] = 0
+            t -= 1
+        if t >= 0 and tried[t]:  # take back level t's sign before its next try
+            for r, c in touch[t]:
+                acc[r] = (acc[r] - (c if signs[t] > 0 else P - c)) % P
+
+
+@dataclass(frozen=True)
+class LinearVerdict:
+    """What the linear stage decided about one graph and mode.
+
+    status: "sat" (``red`` is a verified balanced coloring, its first free
+    coordinate red), "unsat" (certified by the rank when nullity is 0, by
+    the exhausted sign search otherwise), "deferred" (nullity above the
+    cap; nothing was searched) or "timeout" (the deadline passed during
+    the sign search). ``candidates`` counts the sign search's choices.
+    """
+
+    status: Literal["sat", "unsat", "deferred", "timeout"]
+    nullity: int
+    candidates: int = 0
+    red: int | None = None
+
+
+def kernel_verdict(
+    g: Graph, mode: Mode, max_nullity: int | None = None, deadline: float = math.inf
+) -> LinearVerdict:
+    """Decide g in the given mode from the mod-P echelon form of its
+    balance matrix: unsat at nullity 0, otherwise (when the nullity is at
+    most max_nullity, or always when it is None) by the sign search over
+    the kernel, verifying each candidate exactly. ``deadline`` is a
+    time.monotonic() value."""
+    check_mode(mode)
+    n = g.n
+    if n == 0:  # the empty coloring
+        return LinearVerdict("sat", 0, 0, 0)
+    rows = [a | (1 << v) for v, a in enumerate(g.adj)] if mode == "cnb" else list(g.adj)
+    pivots, tails = echelon(rows, n)
+    nullity = n - len(pivots)
+    if nullity == 0:
+        return LinearVerdict("unsat", 0)
+    if max_nullity is not None and nullity > max_nullity:
+        return LinearVerdict("deferred", nullity)
+    free, forms = _pivot_forms(pivots, tails, n)
+    counter = [0]
+    try:
+        for red in _sign_candidates(pivots, free, forms, deadline, counter):
+            if verify(g, Coloring(n, red), mode):
+                return LinearVerdict("sat", nullity, counter[0], red)
+    except _DeadlinePassed:
+        return LinearVerdict("timeout", nullity, counter[0])
+    return LinearVerdict("unsat", nullity, counter[0])

@@ -14,6 +14,12 @@ red first; its unsat answers are exhaustive, and fixing vertex 0 red is
 sound because swapping the two colors preserves validity. Enumeration picks
 the lowest unassigned vertex, blue first, never breaks symmetry, and so
 emits colorings in lexicographic order of their R/B text.
+
+Decision runs an exact linear stage (``linalg``) once the search has used
+an allowance of decisions without an answer: the rank of the balance
+matrix modulo a large prime, then a sign search over its kernel when the
+nullity is small. Inputs the search answers within the allowance never
+reach it, so their witnesses are the search's.
 """
 
 from __future__ import annotations
@@ -23,13 +29,21 @@ import itertools
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Literal
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal
 
 from .coloring import Coloring, Mode, check_mode, checked_output, leaf_force
 from .graphs import Graph, bits
 
+if TYPE_CHECKING:
+    from .linalg import LinearVerdict
+
 DEFAULT_MAX_NODES = 100_000_000
 DEFAULT_MAX_MILLIS = 60_000.0
+# decisions the search makes before the linear stage runs, the largest
+# order it runs on, and the largest nullity whose kernel it searches
+_SEARCH_ALLOWANCE = 64
+_LINEAR_MAX_ORDER = 64
+_KERNEL_MAX_NULLITY = 20
 
 
 @dataclass(frozen=True)
@@ -40,16 +54,27 @@ class Budget:
 
 @dataclass(frozen=True)
 class SolveStats:
+    """Search decisions and forced assignments, wall time, and for the
+    linear stage (when it ran) the nullity of the balance matrix and the
+    sign choices of its kernel search."""
+
     nodes: int
     propagations: int
     millis: float
+    nullity: int | None = None
+    kernel_candidates: int = 0
 
 
 @dataclass(frozen=True)
 class SolveOutcome:
+    """``reason`` names what decided: ``prefilter:<text>``,
+    ``forced-classes``, ``search``, ``rank``, ``kernel``, or ``budget`` for a
+    timeout."""
+
     status: Literal["sat", "unsat", "timeout"]
     witness: Coloring | None
     stats: SolveStats
+    reason: str = "search"
 
     def as_dict(self) -> dict:
         return {
@@ -58,6 +83,9 @@ class SolveOutcome:
             "nodes": self.stats.nodes,
             "propagations": self.stats.propagations,
             "millis": round(self.stats.millis, 3),
+            "reason": self.reason,
+            "nullity": self.stats.nullity,
+            "kernel_candidates": self.stats.kernel_candidates,
         }
 
 
@@ -267,13 +295,14 @@ class _Search:
 
     def full_assignments(
         self, pick: Callable[[], int], colors: tuple[int, int], deadline: float,
-        max_nodes: float,
+        max_nodes: float, pause: int = 0,
     ) -> Iterator[int]:
         """Red mask of each full assignment, depth first: branch on pick()
         (-1 once all are assigned), trying colors in order; the stack holds
         (vertex, next color index, trail mark). Each branch is one decision;
         passing max_nodes of them, or the deadline (checked every 1024),
-        raises _LimitExceeded."""
+        raises _LimitExceeded. At decision number ``pause`` (0: never) it
+        yields -1 once; resuming continues exactly where it stopped."""
         stack: list[tuple[int, int, int]] = []
         ok = True
         while True:
@@ -287,6 +316,8 @@ class _Search:
                         not self.decisions & 1023 and time.monotonic() > deadline
                     ):
                         raise _LimitExceeded
+                    if self.decisions == pause:
+                        yield -1
                     stack.append((v, 0, len(self.trail)))
             if not stack:
                 return
@@ -300,7 +331,8 @@ class _Search:
                 ok = self._request([(v, colors[i])])
 
 
-def _stats(search: _Search | None, t0: float) -> SolveStats:
+def _stats(search: _Search | None, t0: float, lin: LinearVerdict | None = None
+           ) -> SolveStats:
     millis = (time.perf_counter() - t0) * 1000.0
     if search is None:
         return SolveStats(nodes=0, propagations=0, millis=millis)
@@ -308,16 +340,20 @@ def _stats(search: _Search | None, t0: float) -> SolveStats:
         nodes=search.decisions,
         propagations=search.assignments - search.decisions,
         millis=millis,
+        nullity=lin.nullity if lin else None,
+        kernel_candidates=lin.candidates if lin else 0,
     )
 
 
-def _open_search(g: Graph, mode: Mode) -> _Search | None:
-    """A fresh search over g, or None when the prefilter or a contradiction
-    among the forced classes already rules out every coloring."""
-    if prefilter_reason(g, mode) is not None:
-        return None
+def _open_search(g: Graph, mode: Mode) -> tuple[_Search | None, str]:
+    """A fresh search over g, or None and the reason when the prefilter or
+    a contradiction among the forced classes already rules out every
+    coloring."""
+    why = prefilter_reason(g, mode)
+    if why is not None:
+        return None, f"prefilter:{why}"
     search = _Search(g, mode)
-    return None if search.contradiction else search
+    return (None, "forced-classes") if search.contradiction else (search, "")
 
 
 def solve(g: Graph, mode: Mode = "cnb", budget: Budget | None = None) -> SolveOutcome:
@@ -326,24 +362,56 @@ def solve(g: Graph, mode: Mode = "cnb", budget: Budget | None = None) -> SolveOu
     sat outcomes carry a witness that has already been re-verified; unsat is
     exhaustive; exceeding the node or wall-clock budget yields status timeout
     and never a partial witness. Deterministic for fixed inputs.
+
+    Once the search has made _SEARCH_ALLOWANCE decisions without an answer,
+    and when the node budget allows more and g has at most
+    _LINEAR_MAX_ORDER vertices, the linear stage runs: nullity 0 is unsat
+    (reason ``rank``); nullity up to _KERNEL_MAX_NULLITY is decided by the
+    kernel sign search (reason ``kernel``), whose witness has vertex 0 red;
+    a larger nullity resumes the search with the budget that remains.
     """
     mode = check_mode(mode)
     if budget is None:
         budget = Budget()
     t0 = time.perf_counter()
-    search = _open_search(g, mode)
-    if search is None or (g.n and not search._request([(0, 1)])):
+    search, why = _open_search(g, mode)
+    if search is None:
+        return SolveOutcome("unsat", None, _stats(search, t0), why)
+    if g.n and not search._request([(0, 1)]):
         return SolveOutcome("unsat", None, _stats(search, t0))
     deadline = time.monotonic() + budget.max_millis / 1000.0
-    runs = search.full_assignments(search._pick, (1, 0), deadline, budget.max_nodes)
+    linear = budget.max_nodes > _SEARCH_ALLOWANCE and g.n <= _LINEAR_MAX_ORDER
+    runs = search.full_assignments(
+        search._pick, (1, 0), deadline, budget.max_nodes,
+        _SEARCH_ALLOWANCE if linear else 0,
+    )
+    lin = None
     try:
         red = next(runs, None)
+        if red == -1:
+            # imported here, on first use: few solves get this far, and every
+            # module imported at start-up adds to each CLI launch
+            from . import linalg
+
+            lin = linalg.kernel_verdict(g, mode, _KERNEL_MAX_NULLITY, deadline)
+            if lin.status == "deferred":
+                red = next(runs, None)
     except _LimitExceeded:
-        return SolveOutcome("timeout", None, _stats(search, t0))
-    if red is None:
-        return SolveOutcome("unsat", None, _stats(search, t0))
-    witness = checked_output(g, Coloring(g.n, red), mode, "search witness")
-    return SolveOutcome("sat", witness, _stats(search, t0))
+        return SolveOutcome("timeout", None, _stats(search, t0, lin), "budget")
+    if lin is None or lin.status == "deferred":
+        if red is None:
+            return SolveOutcome("unsat", None, _stats(search, t0, lin))
+        witness = checked_output(g, Coloring(g.n, red), mode, "search witness")
+        return SolveOutcome("sat", witness, _stats(search, t0, lin))
+    if lin.status == "timeout":
+        return SolveOutcome("timeout", None, _stats(search, t0, lin), "budget")
+    reason = "rank" if lin.nullity == 0 else "kernel"
+    if lin.status == "unsat":
+        return SolveOutcome("unsat", None, _stats(search, t0, lin), reason)
+    # the kernel fixes its first free coordinate red, solve fixes vertex 0
+    red = lin.red if lin.red & 1 else lin.red ^ ((1 << g.n) - 1)
+    witness = checked_output(g, Coloring(g.n, red), mode, "kernel witness")
+    return SolveOutcome("sat", witness, _stats(search, t0, lin), reason)
 
 
 def enumerate_colorings(
@@ -360,7 +428,7 @@ def enumerate_colorings(
     if cap is not None and cap < 1:
         raise ValueError("cap must be positive (or None for no cap)")
     t0 = time.perf_counter()
-    search = _open_search(g, mode)
+    search, _why = _open_search(g, mode)
     if search is None:
         return EnumerationOutcome((), False, _stats(search, t0))
     deadline = time.monotonic() + DEFAULT_MAX_MILLIS / 1000.0

@@ -7,6 +7,7 @@ oracle can only agree by both being right.
 
 from __future__ import annotations
 
+import functools
 import random
 from itertools import combinations
 
@@ -38,9 +39,20 @@ def ref_balanced(g: Graph, red_mask: int, mode: str) -> bool:
     return True
 
 
+@functools.cache
+def _red_sets(n: int) -> tuple[frozenset[int], ...]:
+    return tuple(frozenset(v for v in range(n) if (m >> v) & 1) for m in range(1 << n))
+
+
 def brute_force_masks(g: Graph, mode: str) -> list[int]:
-    """All balanced colorings by exhausting the 2^n assignments."""
-    return [m for m in range(1 << g.n) if ref_balanced(g, m, mode)]
+    """All balanced colorings by exhausting the 2^n assignments (the test
+    of ref_balanced, with the neighborhoods built once per graph)."""
+    nbrs = ref_neighbor_sets(g)
+    hoods = [nbrs[v] | {v} if mode == "cnb" else nbrs[v] for v in range(g.n)]
+    return [
+        m for m, reds in enumerate(_red_sets(g.n))
+        if all(2 * len(hood & reds) == len(hood) for hood in hoods)
+    ]
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:

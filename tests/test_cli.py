@@ -89,6 +89,15 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "--input", str(p))
         assert code == 0 and jline(out)["status"] == "sat"
 
+    @pytest.mark.parametrize("payload", [b"D?\xc8\n", b"D?\x1e\n"])
+    def test_bad_graph6_byte_reports_its_offset(self, capsys, tmp_path, payload):
+        p = tmp_path / "g.g6"
+        p.write_bytes(payload)
+        for cmd in ("solve", "census"):
+            code, out, err = run(capsys, cmd, "--input", str(p))
+            assert code == 2 and not out
+            assert "non-printable-byte at byte 2" in err
+
     def test_requires_one_source(self, capsys, tmp_path):
         p = tmp_path / "g.g6"
         p.write_text("A_\n")
@@ -236,6 +245,12 @@ class TestFamily:
         code2, out2, _ = run(capsys, "verify", "--input", str(p),
                              "--coloring", data["witness"], "--mode", data["mode"])
         assert code2 == 0
+
+    def test_oversized_member_is_usage_error(self, capsys):
+        # 2^26 vertices: refused before any of them is allocated
+        code, out, err = run(capsys, "family", "hypercube", "26")
+        assert code == 2 and not out
+        assert "262144" in err
 
     def test_circulant_single_length_needs_no_comma(self, capsys):
         code, out, err = run(capsys, "family", "circulant", "12", "6")

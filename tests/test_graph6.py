@@ -181,6 +181,22 @@ def test_iter_graph6_skips_header_and_blanks():
     assert [g.n for g in graphs] == [2, 5]
 
 
+def test_iter_graph6_strips_only_ascii_whitespace():
+    # str.strip() would also drop the control byte 0x1e and report the
+    # line as a truncated body
+    assert [g.n for g in g6.iter_graph6([" \tA_\r\x0b\x0c"])] == [2]
+    with pytest.raises(g6.Graph6Error) as exc:
+        list(g6.iter_graph6(["D?\x1e"]))
+    assert (exc.value.kind, exc.value.offset) == ("non-printable-byte", 2)
+
+
+@pytest.mark.parametrize("text", ["D?\u00e9", "D?\u00c8", "D?\u20ac", "D?\u00e9\x01"])
+def test_non_ascii_str_is_a_non_printable_byte(text):
+    with pytest.raises(g6.Graph6Error) as exc:
+        g6.decode(text)
+    assert (exc.value.kind, exc.value.offset) == ("non-printable-byte", 2)
+
+
 class TestEdgeList:
     def test_round_trip(self):
         g = bc.gen_petersen(6, 2)

@@ -133,6 +133,18 @@ class TestFamilies:
         with pytest.raises(bc.FamilyParameterError):
             bc.build_family("cycle", 3, 4)
 
+    @pytest.mark.parametrize("kind, params", [
+        ("empty", (1 << 18,)), ("complete", (1 << 18,)), ("path", (1 << 18,)),
+        ("cycle", (1 << 18,)), ("star", ((1 << 18) - 1,)), ("wheel", ((1 << 18) - 1,)),
+        ("complete-bipartite", (1 << 17, 1 << 17)), ("circulant", (1 << 18, (1,))),
+        ("gp", (1 << 17, 1)), ("hypercube", (18,)), ("hypercube", (10 ** 9,)),
+        ("prism", (1 << 17,)),
+    ])
+    def test_build_family_refuses_graph6_sized_members(self, kind, params):
+        # each would have 2^18 vertices or more; none may be allocated
+        with pytest.raises(bc.FamilyParameterError, match="262144"):
+            bc.build_family(kind, *params)
+
 
 class TestOperators:
     @given(graphs_st())

@@ -1,0 +1,198 @@
+"""The exact linear stage: cyclotomic nullity of circulants, the echelon form
+modulo 2^61 - 1, the kernel sign search, and how solve uses them; checked
+against the brute-force oracle, against each other, and against solve."""
+
+import itertools
+import random
+import time
+
+import pytest
+
+import balanced_coloring as bc
+from balanced_coloring import Budget, linalg, solver
+from balanced_coloring.graphs import CirculantSpec
+
+from conftest import brute_force_masks, random_graph
+
+
+def _balance_rows(g, mode):
+    return [a | (1 << v) for v, a in enumerate(g.adj)] if mode == "cnb" else list(g.adj)
+
+
+def _echelon_nullity(g, mode):
+    pivots, _tails = linalg.echelon(_balance_rows(g, mode), g.n)
+    return g.n - len(pivots)
+
+
+def _labeled_graphs(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield bc.Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+def _agrees_with_brute_force(g, mode):
+    verdict = linalg.kernel_verdict(g, mode)
+    masks = brute_force_masks(g, mode)
+    assert verdict.status == ("sat" if masks else "unsat"), (g, mode, verdict)
+    if masks:
+        assert verdict.red in masks, (g, mode, verdict)
+
+
+def _random_regular(n, d, rng):
+    """A d-regular graph on n vertices (n * d even): the circulant with
+    lengths 1..d/2 (plus n/2 for odd d) scrambled by double-edge swaps."""
+    lengths = list(range(1, d // 2 + 1)) + ([n // 2] if d % 2 else [])
+    edges = sorted({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in lengths})
+    present = set(edges)
+    for _ in range(10 * len(edges)):
+        i, j = rng.sample(range(len(edges)), 2)
+        (a, b), (c, e) = edges[i], edges[j]
+        if rng.random() < 0.5:
+            c, e = e, c
+        new1, new2 = tuple(sorted((a, e))), tuple(sorted((c, b)))
+        if a == e or c == b or new1 in present or new2 in present:
+            continue
+        present -= {edges[i], edges[j]}
+        present |= {new1, new2}
+        edges[i], edges[j] = new1, new2
+    return bc.Graph.from_edges(n, edges)
+
+
+class TestCyclotomic:
+    def test_small_polynomials(self):
+        assert linalg.cyclotomic(1) == (-1, 1)
+        assert linalg.cyclotomic(2) == (1, 1)
+        assert linalg.cyclotomic(4) == (1, 0, 1)
+        assert linalg.cyclotomic(6) == (1, -1, 1)
+        assert linalg.cyclotomic(12) == (1, 0, -1, 0, 1)
+
+    @pytest.mark.parametrize("m", [1, 8, 15, 30, 36, 105])
+    def test_divisors_multiply_to_x_m_minus_1(self, m):
+        prod = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                phi = linalg.cyclotomic(d)
+                out = [0] * (len(prod) + len(phi) - 1)
+                for i, a in enumerate(prod):
+                    for j, b in enumerate(phi):
+                        out[i + j] += a * b
+                prod = out
+        assert prod == [-1] + [0] * (m - 1) + [1]
+
+
+class TestKernelVerdict:
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_labeled_graph_to_order_6(self, n):
+        for g in _labeled_graphs(n):
+            for mode in ("cnb", "nb"):
+                _agrees_with_brute_force(g, mode)
+
+    def test_seeded_random_graphs_to_order_16(self):
+        rng = random.Random(61)
+        for n in range(7, 17):
+            for _ in range(5):
+                g = random_graph(rng, n, rng.random())
+                for mode in ("cnb", "nb"):
+                    _agrees_with_brute_force(g, mode)
+
+    def test_statuses(self):
+        c23 = bc.circulant(23, tuple(range(1, 10)) + (11,))
+        assert linalg.kernel_verdict(c23, "nb") == linalg.LinearVerdict("unsat", 0)
+        # A = 0 on an edgeless graph: every vector is in the kernel
+        empty = bc.empty_graph(12)
+        assert linalg.kernel_verdict(empty, "nb", max_nullity=11).status == "deferred"
+        out = linalg.kernel_verdict(empty, "nb", max_nullity=12)
+        assert (out.status, out.nullity, out.red) == ("sat", 12, (1 << 12) - 1)
+        assert linalg.kernel_verdict(bc.empty_graph(0), "cnb").status == "sat"
+
+
+class TestCirculantNullity:
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_every_circulant_to_order_24(self, n):
+        pool = range(1, n // 2 + 1)
+        for k in range(1, len(pool) + 1):
+            for lengths in itertools.combinations(pool, k):
+                g = CirculantSpec(n, lengths).build()
+                for mode in ("cnb", "nb"):
+                    assert linalg.circulant_nullity(n, lengths, mode) == \
+                        _echelon_nullity(g, mode), (n, lengths, mode)
+
+    def test_sampled_circulants_to_order_64(self):
+        rng = random.Random(64)
+        for n in range(25, 65):
+            pool = list(range(1, n // 2 + 1))
+            for _ in range(4):
+                lengths = tuple(sorted(rng.sample(pool, rng.randrange(1, len(pool) + 1))))
+                g = CirculantSpec(n, lengths).build()
+                for mode in ("cnb", "nb"):
+                    assert linalg.circulant_nullity(n, lengths, mode) == \
+                        _echelon_nullity(g, mode), (n, lengths, mode)
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_spectrum_verdicts_agree_with_solve_to_24(self, n):
+        pool = range(1, n // 2 + 1)
+        for k in range(1, len(pool) + 1):
+            for lengths in itertools.combinations(pool, k):
+                spec = CirculantSpec(n, lengths)
+                for mode in ("cnb", "nb"):
+                    verdict = bc.characterize_circulant(spec, mode)
+                    if verdict.theorem == "circulant-spectrum":
+                        assert verdict.value == "no"
+                        assert bc.solve(spec.build(), mode).status == "unsat", \
+                            (n, lengths, mode)
+
+    def test_quintic_open_case_stays_unknown(self):
+        # lengths {1, 3, 8} on 16 vertices: A + I is nonsingular, but the
+        # quintic rule answers before the spectrum and keeps the case open
+        assert linalg.circulant_nullity(16, (1, 3, 8), "cnb") == 0
+        assert bc.characterize_quintic_circulant(16, 1, 3).value == "unknown"
+
+
+class TestSolveStage:
+    HARD = [(bc.circulant(23, tuple(range(1, 10)) + (11,)), "nb")]
+    HARD += [(_random_regular(28, 23, random.Random(s)), "cnb") for s in range(5)]
+    HARD += [(_random_regular(24, 19, random.Random(s)), "cnb") for s in range(5)]
+
+    @pytest.mark.parametrize("g, mode", HARD)
+    def test_hard_instances_decided_under_100_ms(self, g, mode):
+        assert len({a.bit_count() for a in g.adj}) == 1  # regular
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            out = bc.solve(g, mode)
+            best = min(best, time.perf_counter() - start)
+        assert out.status in ("sat", "unsat")
+        assert out.reason in ("search", "rank", "kernel")
+        if out.status == "sat":
+            assert bc.verify(g, out.witness, mode)
+        assert best < 0.1, best
+
+    def test_reasons(self):
+        assert bc.solve(bc.star(4), "cnb").reason == "prefilter:odd vertex count"
+        # K_{1,5} passes the prefilter; its center carries too many leaves
+        assert bc.solve(bc.star(5), "cnb").reason == "forced-classes"
+        out = bc.solve(bc.cycle(8), "nb")
+        assert (out.reason, out.stats.nullity) == ("search", None)
+        out = bc.solve(bc.circulant(23, tuple(range(1, 10)) + (11,)), "nb")
+        assert (out.status, out.reason, out.stats.nullity) == ("unsat", "rank", 0)
+        out = bc.solve(bc.circulant(24, (1, 3, 5, 7, 9, 12)), "cnb", Budget(max_nodes=50))
+        assert (out.status, out.reason, out.stats.nullity) == ("timeout", "budget", None)
+
+    def test_kernel_answers_after_the_allowance(self, monkeypatch):
+        g = bc.cycle(8)  # nb: A has nullity 2 and the search needs a decision
+        plain = bc.solve(g, "nb")
+        monkeypatch.setattr(solver, "_SEARCH_ALLOWANCE", 1)
+        out = bc.solve(g, "nb")
+        assert (out.status, out.reason, out.stats.nullity) == ("sat", "kernel", 2)
+        assert out.stats.kernel_candidates > 0
+        assert out.witness.bits & 1 and bc.verify(g, out.witness, "nb")
+        # above the nullity cap the search resumes where it paused
+        monkeypatch.setattr(solver, "_KERNEL_MAX_NULLITY", 1)
+        out = bc.solve(g, "nb")
+        assert (out.status, out.reason, out.stats.nullity) == ("sat", "search", 2)
+        assert out.witness == plain.witness and out.stats.nodes == plain.stats.nodes
+
+    def test_as_dict_appends_keys(self):
+        d = bc.solve(bc.cycle(8), "nb").as_dict()
+        assert list(d) == ["status", "witness", "nodes", "propagations", "millis",
+                           "reason", "nullity", "kernel_candidates"]
