@@ -340,20 +340,29 @@ class ForcedConstraints:
     infeasible: str | None = None
 
 
-def leaf_force(g: Graph, mode: Mode) -> ForcedConstraints:
-    """Propagation seeds: twin vertices must share a color (equal open
-    neighborhoods for cnb, equal closed neighborhoods for nb), and in cnb
-    mode each leaf takes the color opposite its unique neighbor. A vertex
-    carrying more than (deg+1)/2 leaves makes cnb infeasible outright."""
-    check_mode(mode)
+def _twin_groups(g: Graph, mode: Mode) -> list[list[int]]:
+    """Vertices grouped by equal open neighborhoods (cnb) or equal closed
+    neighborhoods (nb), each group ascending, groups in order of their
+    lowest member. Twins must share a color: their balance rows differ only
+    in the twins' own entries."""
     groups: dict[int, list[int]] = {}
     for v in range(g.n):
         key = g.adj[v] if mode == "cnb" else g.adj[v] | (1 << v)
         groups.setdefault(key, []).append(v)
-    same = []
-    for members in groups.values():
-        for a, b in zip(members, members[1:]):
-            same.append((a, b))
+    return list(groups.values())
+
+
+def leaf_force(g: Graph, mode: Mode) -> ForcedConstraints:
+    """The forced colors the solver's classes are built from: twin vertices
+    (``_twin_groups``) share a color, as consecutive ``same`` pairs, and in
+    cnb mode each leaf takes the color opposite its unique neighbor. A
+    vertex carrying more than (deg+1)/2 leaves makes cnb infeasible
+    outright (``leaf_overload``); no other contradiction can arise, since
+    the pairs link each leaf group to one neighbor that has no twin."""
+    check_mode(mode)
+    same = [
+        (a, b) for members in _twin_groups(g, mode) for a, b in zip(members, members[1:])
+    ]
     opposite = []
     infeasible = None
     if mode == "cnb":
@@ -370,8 +379,11 @@ def leaf_overload(g: Graph, degs: Sequence[int]) -> str | None:
     """The reason no cnb coloring exists when some vertex carries more than
     (deg+1)/2 leaves (its leaves all take the color opposite its own),
     naming the lowest such vertex, or None. degs is g's degree sequence."""
-    for v in range(g.n):
-        leaf_nbrs = sum(1 for u in bits(g.adj[v]) if degs[u] == 1)
+    leaves = sum(1 << v for v, d in enumerate(degs) if d == 1)
+    if not leaves:
+        return None
+    for v, row in enumerate(g.adj):
+        leaf_nbrs = (row & leaves).bit_count()
         if 2 * leaf_nbrs > degs[v] + 1:
             return (
                 f"vertex {v} carries {leaf_nbrs} leaves, "

@@ -4,7 +4,9 @@ Every colorer re-verifies its output before returning; theorem-backed code
 must never hand back an invalid witness, so a verification failure raises
 RuntimeError rather than returning. Characterizations answer yes or no only
 when a known criterion decides the instance and return an explicit unknown
-otherwise, leaving the caller to fall back to the exact solver. Colorers of
+otherwise, leaving the caller to fall back to the exact solver. A family
+verdict builds its member once and asks the generic certificates (leaf
+bound, degree parity) before the family's own theorems. Colorers of
 products and of the graphs built from them (embeddings, hypercubes) use
 the graph operators of ``graphs`` rather than building rows by hand.
 """
@@ -20,29 +22,26 @@ from .coloring import (
     UnbalancedColoringError,
     check_mode,
     checked_output,
+    leaf_overload,
     require_valid,
 )
 from .graphs import (
     CirculantSpec,
     FamilyParameterError,
     Graph,
-    PetersenSpec,
+    build_family,
     cartesian,
     complement,
     complete,
-    cycle,
-    empty_graph,
     gen_petersen,
     hypercube,
     join,
     lexicographic,
-    path,
     prism,
     spread,
-    star,
     strong,
-    wheel,
 )
+from .solver import prefilter_reason
 
 
 # circulant_nullity takes at most about 50 ms up to this order; past it the
@@ -63,6 +62,26 @@ class CharacterizationVerdict:
     reason: str
     theorem: str | None = None
     witness: Coloring | None = None
+
+
+_UNKNOWN = CharacterizationVerdict("unknown", "no cited criterion applies")
+
+
+def _yes(reason: str, theorem: str, witness: Coloring) -> CharacterizationVerdict:
+    return CharacterizationVerdict("yes", reason, theorem=theorem, witness=witness)
+
+
+def _no(reason: str, theorem: str) -> CharacterizationVerdict:
+    return CharacterizationVerdict("no", reason, theorem=theorem)
+
+
+def _checked(v: CharacterizationVerdict, g: Graph, mode: Mode) -> CharacterizationVerdict:
+    """v after re-verifying its witness, if it has one, on g. The rules
+    below return unverified witnesses; the public entry points verify each
+    one once, on the graph they answer for."""
+    if v.witness is not None:
+        checked_output(g, v.witness, mode, f"{v.theorem} witness")
+    return v
 
 
 def _require_balanced(c: Coloring, name: str) -> None:
@@ -182,6 +201,12 @@ def circulant_constructions(
     on the lengths depending on n mod 8).
     """
     check_mode(mode)
+    g = spec.build()
+    return [(name, checked_output(g, col, mode, f"circulant {name} route"))
+            for name, col in _circulant_routes(spec, mode)]
+
+
+def _circulant_routes(spec: CirculantSpec, mode: Mode) -> list[tuple[str, Coloring]]:
     n = spec.n
     lengths = set(spec.lengths)
     has_half = n % 2 == 0 and n // 2 in lengths
@@ -207,10 +232,6 @@ def circulant_constructions(
         s1, s2, _ = spec.residue_counts()
         if (n % 8 == 0 and s2 == s1 + 1) or (n % 8 == 4 and s2 == s1):
             results.append(("mod4-blocks", Coloring(n, _mod4_bits(n))))
-
-    g = spec.build()
-    for name, col in results:
-        checked_output(g, col, mode, f"circulant {name} route")
     return results
 
 
@@ -238,28 +259,21 @@ def _lift_reduced_coloring(c_reduced: Coloring, t: int, n: int) -> Coloring:
 
 
 def _route_verdict(spec: CirculantSpec, mode: Mode) -> CharacterizationVerdict | None:
-    routes = circulant_constructions(spec, mode)
+    routes = _circulant_routes(spec, mode)
     if not routes:
         return None
     name, col = routes[0]
-    return CharacterizationVerdict(
-        "yes", f"{name} construction applies", theorem=name, witness=col
-    )
+    return _yes(f"{name} construction applies", name, col)
 
 
 def _cubic_rule(spec: CirculantSpec) -> CharacterizationVerdict:
     """Reduced lengths {d, n/2}: closed-balanced exactly when 4 divides n."""
     n = spec.n
     if n % 4 != 0:
-        return CharacterizationVerdict(
-            "no", f"reduced order {n} is not divisible by 4", theorem="cubic-circulant"
-        )
-    col = Coloring(n, _alternating_bits(n))
-    return CharacterizationVerdict(
-        "yes",
-        f"reduced order {n} is divisible by 4",
-        theorem="cubic-circulant",
-        witness=checked_output(spec.build(), col, "cnb", "cubic circulant coloring"),
+        return _no(f"reduced order {n} is not divisible by 4", "cubic-circulant")
+    return _yes(
+        f"reduced order {n} is divisible by 4", "cubic-circulant",
+        Coloring(n, _alternating_bits(n)),
     )
 
 
@@ -269,17 +283,10 @@ def _quintic_rule(spec: CirculantSpec) -> CharacterizationVerdict:
     d1, d2 = spec.lengths[0], spec.lengths[1]
     if n % 4 == 2:
         if d1 % 2 == d2 % 2:
-            return CharacterizationVerdict(
-                "no",
-                f"lengths {d1}, {d2} share parity with order 2 mod 4",
-                theorem="quintic-parity",
-            )
-        col = Coloring(n, _alternating_bits(n))
-        return CharacterizationVerdict(
-            "yes",
-            f"lengths {d1}, {d2} have opposite parity with order 2 mod 4",
-            theorem="quintic-parity",
-            witness=checked_output(spec.build(), col, "cnb", "quintic circulant coloring"),
+            return _no(f"lengths {d1}, {d2} share parity with order 2 mod 4", "quintic-parity")
+        return _yes(
+            f"lengths {d1}, {d2} have opposite parity with order 2 mod 4", "quintic-parity",
+            Coloring(n, _alternating_bits(n)),
         )
     return _route_verdict(spec, "cnb") or CharacterizationVerdict(
         "unknown", f"order {n} divisible by 4 with no constructive route; open case"
@@ -314,9 +321,7 @@ def characterize_quintic_circulant(
     return characterize_circulant(CirculantSpec(n, (d1, d2, n // 2)), "cnb")
 
 
-def characterize_circulant(
-    spec: CirculantSpec, mode: Mode = "cnb", _bridge: bool = True
-) -> CharacterizationVerdict:
+def characterize_circulant(spec: CirculantSpec, mode: Mode = "cnb") -> CharacterizationVerdict:
     """Best theorem-only verdict for an arbitrary circulant.
 
     Applies the degree-parity obstruction, gcd reduction, the cubic and
@@ -326,25 +331,23 @@ def characterize_circulant(
     (``linalg.circulant_nullity``). The quintic open case stays unknown.
     """
     check_mode(mode)
+    verdict = _circulant_verdict(spec, mode, bridge=True)
+    return verdict if verdict.witness is None else _checked(verdict, spec.build(), mode)
+
+
+def _circulant_verdict(spec: CirculantSpec, mode: Mode, bridge: bool) -> CharacterizationVerdict:
     n = spec.n
     has_half = n % 2 == 0 and n // 2 in spec.lengths
     if mode == "cnb" and not has_half:
-        return CharacterizationVerdict(
-            "no", "every degree is even, closed balance needs odd degrees",
-            theorem="degree-parity",
-        )
+        return _no("every degree is even, closed balance needs odd degrees", "degree-parity")
     if mode == "nb" and has_half:
-        return CharacterizationVerdict(
-            "no", "every degree is odd, open balance needs even degrees",
-            theorem="degree-parity",
-        )
+        return _no("every degree is odd, open balance needs even degrees", "degree-parity")
     t, reduced = circulant_reduce(spec)
     if t > 1:
-        inner = characterize_circulant(reduced, mode, _bridge)
+        inner = _circulant_verdict(reduced, mode, bridge)
         witness = None
         if inner.witness is not None:
-            lifted = _lift_reduced_coloring(inner.witness, t, n)
-            witness = checked_output(spec.build(), lifted, mode, "lifted circulant coloring")
+            witness = _lift_reduced_coloring(inner.witness, t, n)
         return CharacterizationVerdict(
             inner.value,
             f"{inner.reason} (gcd reduction by {t})",
@@ -365,21 +368,16 @@ def characterize_circulant(
     # even orders at the cubic/quintic rules or a route; in nb even orders
     # stop at degree parity.
     if len(spec.lengths) == n // 2:
-        return characterize_family("complete", (n,), mode)
-    if _bridge:
+        return _complete_rule(n, mode)
+    if bridge:
         other: Mode = "nb" if mode == "cnb" else "cnb"
-        inner = characterize_circulant(spec.complement_spec(), other, _bridge=False)
+        inner = _circulant_verdict(spec.complement_spec(), other, bridge=False)
         if inner.value != "unknown":
-            witness = None
-            if inner.witness is not None:
-                witness = checked_output(
-                    spec.build(), inner.witness, mode, "complement-bridge coloring"
-                )
             return CharacterizationVerdict(
                 inner.value,
                 f"complement circulant is {other}-decided: {inner.reason}",
                 theorem=inner.theorem,
-                witness=witness,
+                witness=inner.witness,
             )
         # last, so that every cited criterion keeps its name and witness;
         # imported on first use, like in solver.solve, to keep start-up short
@@ -387,13 +385,11 @@ def characterize_circulant(
 
         if n <= _SPECTRUM_MAX_ORDER and circulant_nullity(n, spec.lengths, mode) == 0:
             matrix = "A + I" if mode == "cnb" else "A"
-            return CharacterizationVerdict(
-                "no",
-                f"{matrix} is nonsingular: no cyclotomic Phi_m with m | {n} "
-                "divides the symbol",
-                theorem="circulant-spectrum",
+            return _no(
+                f"{matrix} is nonsingular: no cyclotomic Phi_m with m | {n} divides the symbol",
+                "circulant-spectrum",
             )
-    return CharacterizationVerdict("unknown", "no cited criterion applies")
+    return _UNKNOWN
 
 
 # ---------------------------------------------------------------------------
@@ -404,21 +400,19 @@ def characterize_circulant(
 def characterize_gp(n: int, d: int) -> CharacterizationVerdict:
     """Complete characterization: colorable in closed mode iff the outer
     cycle is even and the inner step is odd."""
-    PetersenSpec(n, d)
+    g = gen_petersen(n, d)
+    return _checked(_gp_rule(n, d), g, "cnb")
+
+
+def _gp_rule(n: int, d: int) -> CharacterizationVerdict:
     if n % 2 == 1:
-        return CharacterizationVerdict(
-            "no", f"outer cycle length {n} is odd", theorem="gp-even-order"
-        )
+        return _no(f"outer cycle length {n} is odd", "gp-even-order")
     if d % 2 == 0:
-        return CharacterizationVerdict(
-            "no", f"inner step {d} is even", theorem="gp-odd-step"
-        )
-    witness = color_gp(n, d)
-    return CharacterizationVerdict(
-        "yes",
-        f"outer cycle length {n} even and inner step {d} odd",
-        theorem="gp-parity",
-        witness=witness,
+        return _no(f"inner step {d} is even", "gp-odd-step")
+    alt = _alternating_bits(n)
+    return _yes(
+        f"outer cycle length {n} even and inner step {d} odd", "gp-parity",
+        Coloring(2 * n, alt | (alt << n)),
     )
 
 
@@ -428,14 +422,12 @@ def color_gp(n: int, d: int) -> Coloring:
     Only defined for even n and odd d; other instances have no valid
     closed-mode coloring and raise NotColorableError.
     """
-    PetersenSpec(n, d)
-    if n % 2 == 1 or d % 2 == 0:
+    witness = characterize_gp(n, d).witness
+    if witness is None:
         raise NotColorableError(
             f"GP({n},{d}) admits no closed-balanced coloring (need n even, d odd)"
         )
-    alt = _alternating_bits(n)
-    col = Coloring(2 * n, alt | (alt << n))
-    return checked_output(gen_petersen(n, d), col, "cnb", "generalized Petersen coloring")
+    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -484,11 +476,13 @@ def prism_colorings(n: int) -> list[Coloring]:
     choices of the double-step pattern with opposite copies (bichromatic
     rungs). Sorted by R/B text.
     """
-    if n < 3:
-        raise FamilyParameterError("prism needs a cycle of length at least three")
+    g = prism(n)
+    return [checked_output(g, col, "cnb", "prism coloring") for col in _prism_colorings(n)]
+
+
+def _prism_colorings(n: int) -> list[Coloring]:
     if n % 2 == 1:
         return []
-    g = prism(n)
     out = []
     alt = _alternating_bits(n)
     first = Coloring(2 * n, alt | (alt << n))
@@ -504,8 +498,6 @@ def prism_colorings(n: int) -> list[Coloring]:
                         p |= 1 << j
                 full = (1 << n) - 1
                 out.append(Coloring(2 * n, p | ((p ^ full) << n)))
-    for col in out:
-        checked_output(g, col, "cnb", "prism coloring")
     return sorted(out, key=Coloring.to_text)
 
 
@@ -519,13 +511,17 @@ def color_hypercube(dim: int) -> tuple[Graph, Coloring]:
     even k (the new low bit copies them): v is red iff v >> dim // 2 has
     the parity of dim // 2 + dim + 1.
     """
-    if dim < 0:
-        raise FamilyParameterError("dimension must be non-negative")
-    g, h = hypercube(dim), dim // 2
-    red = (h + dim + 1) % 2
-    bits = sum(1 << v for v in range(g.n) if (v >> h).bit_count() % 2 == red)
+    g = hypercube(dim)
     mode: Mode = "cnb" if dim % 2 == 1 else "nb"
-    return g, checked_output(g, Coloring(g.n, bits), mode, "hypercube coloring")
+    return g, checked_output(g, _hypercube_coloring(dim), mode, "hypercube coloring")
+
+
+def _hypercube_coloring(dim: int) -> Coloring:
+    h = dim // 2
+    red = (h + dim + 1) % 2
+    return Coloring(
+        1 << dim, sum(1 << v for v in range(1 << dim) if (v >> h).bit_count() % 2 == red)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -533,177 +529,101 @@ def color_hypercube(dim: int) -> tuple[Graph, Coloring]:
 # ---------------------------------------------------------------------------
 
 
-def _yes(reason: str, theorem: str, g: Graph, col: Coloring, mode: Mode):
-    return CharacterizationVerdict(
-        "yes", reason, theorem=theorem, witness=checked_output(g, col, mode, theorem)
+def characterize_family(kind: str, params: tuple, mode: Mode) -> CharacterizationVerdict:
+    """Verdict for a named family member, from one pipeline.
+
+    The member is built once by ``build_family``, which raises
+    FamilyParameterError for an unknown kind, the wrong number of
+    parameters, parameters outside the family's domain, or an order of
+    ``MAX_ORDER`` or more. Generic certificates answer "no" first: in cnb a
+    vertex carrying more than (deg+1)/2 leaves (theorem ``leaf-bound``),
+    then the degree and order parities of ``prefilter_reason`` (theorem
+    ``degree-parity``). The family's own theorems and constructions decide
+    what is left, and their witness is verified on the member built at the
+    start. Anything else is unknown, and callers fall back to the solver.
+    """
+    check_mode(mode)
+    g = build_family(kind, *params)
+    if mode == "cnb":
+        why = leaf_overload(g, g.degrees())
+        if why is not None:
+            return _no(why, "leaf-bound")
+    why = prefilter_reason(g, mode)
+    if why is not None:
+        return _no(why, "degree-parity")
+    return _checked(_family_rule(kind, params, mode), g, mode)
+
+
+def _complete_rule(n: int, mode: Mode) -> CharacterizationVerdict:
+    if mode == "cnb":  # odd orders fail degree parity
+        return _yes(
+            f"complete graph of even order {n}", "complete-even", Coloring(n, (1 << (n // 2)) - 1)
+        )
+    if n <= 1:
+        return _yes("at most one vertex", "complete-trivial", Coloring(n, 0))
+    return _no(
+        "all closed neighborhoods coincide, forcing one color on everything",
+        "closed-neighborhood-twins",
     )
 
 
-def characterize_family(kind: str, params: tuple, mode: Mode) -> CharacterizationVerdict:
-    """Closed-form verdict for a named family, or unknown.
-
-    Covers the cheap anchors (wheels, complete bipartite, complete graphs,
-    cycles), the circulant and generalized Petersen characterizations, and
-    the hypercube/prism product arguments. Everything else is unknown and
-    callers fall back to the solver.
-    """
-    check_mode(mode)
-    if kind == "complete":
-        (n,) = params
-        g = complete(n)
-        if mode == "cnb":
-            if n % 2 == 0:
-                return _yes(
-                    f"complete graph of even order {n}", "complete-even",
-                    g, Coloring(n, (1 << (n // 2)) - 1), mode,
-                )
-            return CharacterizationVerdict(
-                "no", f"odd order {n} forces even degrees", theorem="complete-even"
-            )
-        if n <= 1:
-            return _yes("at most one vertex", "complete-trivial", g, Coloring(n, 0), mode)
-        return CharacterizationVerdict(
-            "no",
-            "all closed neighborhoods coincide, forcing one color on everything",
-            theorem="closed-neighborhood-twins",
-        )
-    if kind == "cycle":
-        (n,) = params
-        if mode == "cnb":
-            return CharacterizationVerdict(
-                "no", "cycle vertices have even degree", theorem="degree-parity"
-            )
-        if n % 4 == 0:
-            return _yes(
-                f"cycle length {n} divisible by 4", "cycle-mod4",
-                cycle(n), Coloring(n, _mod4_bits(n)), mode,
-            )
-        return CharacterizationVerdict(
-            "no", f"cycle length {n} not divisible by 4", theorem="cycle-mod4"
-        )
-    if kind == "wheel":
-        (n,) = params
-        if mode == "nb":
-            return CharacterizationVerdict(
-                "no", "rim vertices have odd degree 3", theorem="degree-parity"
-            )
-        if n == 3:
-            return _yes(
-                "wheel on three rim vertices is the even complete graph",
-                "wheel-order-three", wheel(3), Coloring(4, 0b0011), mode,
-            )
-        return CharacterizationVerdict(
-            "no",
-            f"degree identity fails for rim length {n} (only 3 works)",
-            theorem="wheel-degree-identity",
-        )
-    if kind == "complete-bipartite":
+def _family_rule(kind: str, params: tuple, mode: Mode) -> CharacterizationVerdict:
+    """The family's theorems for a member that passed the generic
+    certificates; each comment names the members those already answered."""
+    if kind == "circulant":
+        n, lengths = params
+        return _circulant_verdict(CirculantSpec(n, tuple(lengths)), mode, bridge=True)
+    if kind in ("gp", "gen-petersen"):  # nb: 3-regular
+        return _gp_rule(*params)
+    if kind == "complete-bipartite":  # nb: an odd side
         m, n = params
         if m + n == 0:
-            return _yes("empty graph", "trivial", empty_graph(0), Coloring(0, 0), mode)
+            return _yes("empty graph", "trivial", Coloring(0, 0))
         if mode == "cnb":
             if m == n == 1:
-                return _yes(
-                    "single edge", "complete-bipartite-trivial",
-                    complete(2), Coloring(2, 1), mode,
-                )
-            return CharacterizationVerdict(
-                "no",
+                return _yes("single edge", "complete-bipartite-trivial", Coloring(2, 1))
+            return _no(
                 "each side shares one open neighborhood, forcing monochromatic sides",
-                theorem="open-neighborhood-twins",
+                "open-neighborhood-twins",
             )
         if m == 0 or n == 0:
             # K_{m,0} is the edgeless graph, label for label
-            return characterize_family("empty", (m + n,), mode)
-        if m % 2 == 1 or n % 2 == 1:
-            return CharacterizationVerdict(
-                "no", "some vertex has odd degree", theorem="degree-parity"
-            )
-        return CharacterizationVerdict("unknown", "no cited criterion applies")
-    if kind == "circulant":
-        n, lengths = params
-        return characterize_circulant(CirculantSpec(n, tuple(lengths)), mode)
-    if kind in ("gp", "gen-petersen"):
-        n, d = params
-        if mode == "nb":
-            return CharacterizationVerdict(
-                "no", "3-regular graphs have odd degrees", theorem="degree-parity"
-            )
-        return characterize_gp(n, d)
-    if kind == "hypercube":
-        (dim,) = params
-        want: Mode = "cnb" if dim % 2 == 1 else "nb"
-        if mode == want:
-            g, col = color_hypercube(dim)
+            return _family_rule("empty", (m + n,), mode)
+        return _UNKNOWN
+    (n,) = params
+    if kind == "complete":
+        return _complete_rule(n, mode)
+    if kind == "cycle":  # cnb: even degrees
+        if n % 4 == 0:
             return _yes(
-                f"dimension {dim} parity matches the product iteration",
-                "hypercube-parity", g, col, mode,
+                f"cycle length {n} divisible by 4", "cycle-mod4", Coloring(n, _mod4_bits(n))
             )
-        return CharacterizationVerdict(
-            "no", f"dimension {dim} has the wrong parity", theorem="hypercube-parity"
+        return _no(f"cycle length {n} not divisible by 4", "cycle-mod4")
+    if kind == "wheel":  # nb: rim degree 3; cnb: rim lengths 0, 1 and 2 mod 4
+        if n == 3:
+            return _yes(
+                "wheel on three rim vertices is the even complete graph",
+                "wheel-order-three", Coloring(4, 0b0011),
+            )
+        return _no(
+            f"degree identity fails for rim length {n} (only 3 works)", "wheel-degree-identity"
         )
-    if kind == "prism":
-        (n,) = params
-        if mode == "nb":
-            return CharacterizationVerdict(
-                "no", "3-regular graphs have odd degrees", theorem="degree-parity"
-            )
+    if kind == "hypercube":  # the other mode: degree dim has the wrong parity
+        return _yes(
+            f"dimension {n} parity matches the product iteration", "hypercube-parity",
+            _hypercube_coloring(n),
+        )
+    if kind == "prism":  # nb: 3-regular
         if n % 2 == 0:
-            return _yes(
-                f"even cycle length {n}", "prism-alternating",
-                prism(n), prism_colorings(n)[0], mode,
-            )
-        return CharacterizationVerdict(
-            "no",
-            f"order {2 * n} is 2 mod 4, impossible for a 3-regular graph",
-            theorem="regular-count",
+            return _yes(f"even cycle length {n}", "prism-alternating", _prism_colorings(n)[0])
+        return _no(
+            f"order {2 * n} is 2 mod 4, impossible for a 3-regular graph", "regular-count"
         )
-    if kind == "star":
-        (m,) = params
-        g = star(m)
-        if mode == "cnb":
-            if m == 1:
-                return _yes("single edge", "star-trivial", g, Coloring(2, 1), mode)
-            if m % 2 == 0:
-                return CharacterizationVerdict(
-                    "no", f"center degree {m} is even", theorem="degree-parity"
-                )
-            return CharacterizationVerdict(
-                "no",
-                f"center carries {m} leaves, more than (deg+1)/2",
-                theorem="leaf-bound",
-            )
-        if m == 0:
-            return _yes("isolated vertex", "trivial", g, Coloring(1, 0), mode)
-        return CharacterizationVerdict(
-            "no", "leaves have odd degree 1", theorem="degree-parity"
-        )
-    if kind == "empty":
-        (n,) = params
+    if kind == "empty":  # cnb: every order but 0
         if mode == "nb":
-            return _yes(
-                "open neighborhoods are empty", "edgeless",
-                empty_graph(n), Coloring(n, 0), mode,
-            )
-        if n == 0:
-            return _yes("no vertices", "trivial", empty_graph(0), Coloring(0, 0), mode)
-        return CharacterizationVerdict(
-            "no", "isolated vertices have even degree 0", theorem="degree-parity"
-        )
-    if kind == "path":
-        (n,) = params
-        if mode == "cnb":
-            if n == 2:
-                return _yes("single edge", "path-trivial", complete(2), Coloring(2, 1), mode)
-            return CharacterizationVerdict(
-                "no",
-                "an interior vertex has even degree 2" if n >= 3
-                else "isolated vertex has even degree 0",
-                theorem="degree-parity",
-            )
-        if n == 1:
-            return _yes("isolated vertex", "trivial", path(1), Coloring(1, 0), mode)
-        return CharacterizationVerdict(
-            "no", "endpoints have odd degree 1", theorem="degree-parity"
-        )
-    return CharacterizationVerdict("unknown", "no cited criterion applies")
+            return _yes("open neighborhoods are empty", "edgeless", Coloring(n, 0))
+        return _yes("no vertices", "trivial", Coloring(0, 0))
+    # star and path: the certificates leave only K2 in cnb and K1 in nb
+    if mode == "cnb":
+        return _yes("single edge", f"{kind}-trivial", Coloring(2, 1))
+    return _yes("isolated vertex", "trivial", Coloring(1, 0))

@@ -63,7 +63,20 @@ class Graph:
                     raise ValueError(f"asymmetric adjacency between {v} and {u}")
 
     @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...]) -> Graph:
+        """A graph from rows that are in range, loop-free and symmetric by
+        construction, skipping the checks of ``__post_init__``. The
+        package's builders and operators use it; outside input (``Graph``
+        itself, graph6 decoding) is always checked."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -72,7 +85,7 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, tuple(rows))
+        return cls._trusted(n, tuple(rows))
 
     @property
     def edge_count(self) -> int:
@@ -112,14 +125,14 @@ class Graph:
 def empty_graph(n: int) -> Graph:
     if n < 0:
         raise FamilyParameterError("order must be non-negative")
-    return Graph(n, (0,) * n)
+    return Graph._trusted(n, (0,) * n)
 
 
 def complete(n: int) -> Graph:
     if n < 0:
         raise FamilyParameterError("order must be non-negative")
     full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+    return Graph._trusted(n, tuple(full ^ (1 << v) for v in range(n)))
 
 
 def path(n: int) -> Graph:
@@ -189,7 +202,7 @@ def hypercube(dim: int) -> Graph:
         for b in range(dim):
             row |= 1 << (v ^ (1 << b))
         rows.append(row)
-    return Graph(n, tuple(rows))
+    return Graph._trusted(n, tuple(rows))
 
 
 def prism(n: int) -> Graph:
@@ -302,7 +315,7 @@ class CirculantSpec:
             for i in range(self.n):
                 rows[i] |= 1 << ((i + d) % self.n)
                 rows[i] |= 1 << ((i - d) % self.n)
-        return Graph(self.n, tuple(rows))
+        return Graph._trusted(self.n, tuple(rows))
 
 
 @dataclass(frozen=True, slots=True)
@@ -331,13 +344,13 @@ class PetersenSpec:
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    return Graph(g.n, tuple((full ^ row ^ (1 << v)) for v, row in enumerate(g.adj)))
+    return Graph._trusted(g.n, tuple((full ^ row ^ (1 << v)) for v, row in enumerate(g.adj)))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Block-diagonal union; h's vertices are shifted by g.n."""
     rows = list(g.adj) + [row << g.n for row in h.adj]
-    return Graph(g.n + h.n, tuple(rows))
+    return Graph._trusted(g.n + h.n, tuple(rows))
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -346,7 +359,7 @@ def join(g: Graph, h: Graph) -> Graph:
     hmask = ((1 << h.n) - 1) << g.n
     rows = [row | hmask for row in g.adj]
     rows += [(row << g.n) | gmask for row in h.adj]
-    return Graph(g.n + h.n, tuple(rows))
+    return Graph._trusted(g.n + h.n, tuple(rows))
 
 
 def spread(mask: int, width: int) -> int:
@@ -364,7 +377,7 @@ def _product(g: Graph, h: Graph, inner: Sequence[int], across: Sequence[int]) ->
     for i, grow in enumerate(g.adj):
         layers = spread(grow, m)
         rows.extend((inner[j] << (i * m)) | across[j] * layers for j in range(m))
-    return Graph(g.n * m, tuple(rows))
+    return Graph._trusted(g.n * m, tuple(rows))
 
 
 def cartesian(g: Graph, h: Graph) -> Graph:
@@ -489,4 +502,4 @@ def all_labeled_graphs(n: int) -> Iterator[Graph]:
             u, v = pairs[low.bit_length() - 1]
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        yield Graph(n, tuple(rows))
+        yield Graph._trusted(n, tuple(rows))

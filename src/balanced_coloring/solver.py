@@ -4,9 +4,10 @@ The search keeps, for every vertex, the signed red-minus-blue count of its
 relevant neighborhood (closed for cnb, open for nb) restricted to assigned
 vertices, plus the number of unassigned slots. A vertex with current count c
 and f free slots can still reach residual zero only if |c| <= f and c + f is
-even; when c equals +-f the free slots are all forced to one color. Forced twin
-classes (equal neighborhoods, leaf-opposite rules) are merged up front
-through a parity union-find, so one assignment colors a whole class at once.
+even; when c equals +-f the free slots are all forced to one color. Forced
+classes (twin groups, joined in cnb by the leaves of a vertex with the
+opposite color) are built up front, so one assignment colors a whole class
+at once.
 
 One iterative depth-first search (an explicit stack, no recursion) serves
 both decision and enumeration. Decision picks the most constrained vertex,
@@ -31,7 +32,9 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal
 
-from .coloring import Coloring, Mode, check_mode, checked_output, leaf_force
+from .coloring import (
+    Coloring, Mode, _twin_groups, check_mode, checked_output, leaf_overload,
+)
 from .graphs import Graph, bits
 
 if TYPE_CHECKING:
@@ -140,10 +143,7 @@ class _Search:
         "trail",
         "decisions",
         "assignments",
-        "contradiction",
-        "parent",
-        "parity",
-        "root_of",
+        "class_of",
         "par_of",
         "class_members",
     )
@@ -163,59 +163,34 @@ class _Search:
         self.trail: list[int] = []
         self.decisions = 0
         self.assignments = 0
-        self.contradiction = False
-        self.parent = list(range(n))
-        self.parity = [0] * n
-        seeds = leaf_force(g, mode)
-        if seeds.infeasible is not None:
-            self.contradiction = True
-        else:
-            for a, b in seeds.same:
-                if not self._union(a, b, 0):
-                    self.contradiction = True
-                    break
-            if not self.contradiction:
-                for a, b in seeds.opposite:
-                    if not self._union(a, b, 1):
-                        self.contradiction = True
-                        break
-        members: dict[int, list[tuple[int, int]]] = {}
-        root_of = [0] * n
+        # A class is a twin group; in cnb the leaves of a vertex form one
+        # group, which joins that vertex's own class with the opposite
+        # color. The vertex has no twin (a twin would also be adjacent to
+        # the leaves), so classes never collide, and the only contradiction
+        # is leaf_overload, which _open_search checks. A K2 component is
+        # joined once, from its lower end.
+        groups = _twin_groups(g, mode)
+        class_of = [0] * n
         par_of = [0] * n
-        if not self.contradiction:
-            for v in range(n):
-                r, p = self._find(v)
-                members.setdefault(r, []).append((v, p))
-                root_of[v] = r
-                par_of[v] = p
-        self.root_of = root_of
+        for k, group in enumerate(groups):
+            for v in group:
+                class_of[v] = k
+        if mode == "cnb":
+            for group in groups:
+                v = group[0]
+                if g.adj[v].bit_count() == 1:
+                    u = g.adj[v].bit_length() - 1
+                    if g.adj[u].bit_count() == 1 and u < v:
+                        continue
+                    for w in group:
+                        class_of[w] = class_of[u]
+                        par_of[w] = 1
+        members: list[list[tuple[int, int]]] = [[] for _ in groups]
+        for v in range(n):
+            members[class_of[v]].append((v, par_of[v]))
+        self.class_of = class_of
         self.par_of = par_of
         self.class_members = members
-
-    # -- parity union-find -------------------------------------------------
-
-    def _find(self, v: int) -> tuple[int, int]:
-        parent = self.parent
-        parity = self.parity
-        chain = []
-        while parent[v] != v:
-            chain.append(v)
-            v = parent[v]
-        acc = 0
-        for node in reversed(chain):
-            acc ^= parity[node]
-            parent[node] = v
-            parity[node] = acc
-        return v, acc
-
-    def _union(self, a: int, b: int, rel: int) -> bool:
-        ra, pa = self._find(a)
-        rb, pb = self._find(b)
-        if ra == rb:
-            return (pa ^ pb) == rel
-        self.parent[rb] = ra
-        self.parity[rb] = pa ^ pb ^ rel
-        return True
 
     # -- propagation -------------------------------------------------------
 
@@ -230,9 +205,8 @@ class _Search:
         while qi < len(queue):
             v, col = queue[qi]
             qi += 1
-            root = self.root_of[v]
             base = col ^ self.par_of[v]
-            for w, pw in self.class_members[root]:
+            for w, pw in self.class_members[self.class_of[v]]:
                 want = base ^ pw
                 wb = 1 << w
                 if self.assigned & wb:
@@ -347,13 +321,14 @@ def _stats(search: _Search | None, t0: float, lin: LinearVerdict | None = None
 
 def _open_search(g: Graph, mode: Mode) -> tuple[_Search | None, str]:
     """A fresh search over g, or None and the reason when the prefilter or
-    a contradiction among the forced classes already rules out every
-    coloring."""
+    the leaf bound (the one contradiction the forced classes can hold)
+    already rules out every coloring."""
     why = prefilter_reason(g, mode)
     if why is not None:
         return None, f"prefilter:{why}"
-    search = _Search(g, mode)
-    return (None, "forced-classes") if search.contradiction else (search, "")
+    if mode == "cnb" and leaf_overload(g, g.degrees()) is not None:
+        return None, "forced-classes"
+    return _Search(g, mode), ""
 
 
 def solve(g: Graph, mode: Mode = "cnb", budget: Budget | None = None) -> SolveOutcome:

@@ -54,7 +54,7 @@ def four_vertex_addition(g: Graph, c: Coloring, z: int) -> tuple[Graph, Coloring
     for a, b in ((z, v), (z, x), (v, w1), (v, w2)):
         rows[a] |= 1 << b
         rows[b] |= 1 << a
-    out = Graph(n + 4, tuple(rows))
+    out = Graph._trusted(n + 4, tuple(rows))
     zcol = c.is_red(z)
     cbits = c.bits
     if zcol:
@@ -87,7 +87,7 @@ def three_vertex_addition(
     for a, b in ((u, w), (u, x), (u, y), (u, z), (a1, w), (a1, y), (a2, x), (a2, z)):
         rows[a] |= 1 << b
         rows[b] |= 1 << a
-    out = Graph(n + 3, tuple(rows))
+    out = Graph._trusted(n + 3, tuple(rows))
     col = Coloring(n + 3, c.bits | (1 << a1) | (1 << a2))
     return out, checked_output(out, col, "nb", "3-vertex addition")
 
@@ -296,7 +296,7 @@ def prufer_decode(seq: Sequence[int]) -> Graph:
             leaf = ptr
     rows[leaf] |= 1 << (n - 1)
     rows[n - 1] |= 1 << leaf
-    return Graph(n, tuple(rows))
+    return Graph._trusted(n, tuple(rows))
 
 
 def labeled_trees(n: int) -> Iterator[Graph]:

@@ -330,3 +330,16 @@ class TestBrokenPipe:
             os.close(write_end)
         assert proc.returncode == 2
         assert proc.stderr == b""
+
+
+def test_cli_import_leaves_linalg_unloaded():
+    # every module imported at start-up is paid on each CLI launch; linalg
+    # is imported on first use only, and constructions imports from solver
+    src = os.path.dirname(os.path.dirname(bc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, balanced_coloring.cli; print('balanced_coloring.linalg' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout.strip()) == (0, "False")

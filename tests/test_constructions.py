@@ -6,6 +6,7 @@ import pytest
 
 import balanced_coloring as bc
 from balanced_coloring import CirculantSpec, Coloring
+from balanced_coloring.coloring import leaf_overload
 
 from conftest import brute_force_masks, random_graph
 
@@ -491,6 +492,34 @@ def _family_sweep():
         for n in range(3, 11):
             for d in range(1, (n - 1) // 2 + 1):
                 yield kind, (n, d)
+
+
+class TestFamilyPipeline:
+    @pytest.mark.parametrize("kind, params, mode", [
+        ("cycle", (1,), "cnb"), ("gp", (4, 5), "nb"), ("prism", (2,), "nb"),
+        ("hypercube", (-1,), "nb"), ("wheel", (1,), "nb"), ("path", (0,), "cnb"),
+        ("complete-bipartite", (-1, 3), "nb"), ("empty", (-1,), "cnb"),
+        ("nonesuch", (3,), "cnb"), ("cycle", (3, 4), "nb"), ("hypercube", (31,), "cnb"),
+    ])
+    def test_members_that_do_not_exist_raise(self, kind, params, mode):
+        # exactly what build_family refuses; hypercube 31 is refused by its
+        # order before any row is allocated
+        with pytest.raises(bc.FamilyParameterError):
+            bc.characterize_family(kind, params, mode)
+
+    def test_generic_certificates_answer_first(self):
+        for kind, params in _family_sweep():
+            g = bc.build_family(kind, *params)
+            for mode in ("cnb", "nb"):
+                verdict = bc.characterize_family(kind, params, mode)
+                leaves = mode == "cnb" and leaf_overload(g, g.degrees())
+                if leaves:
+                    assert (verdict.value, verdict.theorem) == ("no", "leaf-bound")
+                    assert verdict.reason == leaves
+                elif bc.prefilter_reason(g, mode):
+                    assert (verdict.value, verdict.theorem) == ("no", "degree-parity")
+                else:
+                    assert verdict.theorem not in ("leaf-bound", "degree-parity")
 
 
 class TestFamilyVerdicts:

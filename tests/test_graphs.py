@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import balanced_coloring as bc
-from balanced_coloring import Graph
+from balanced_coloring import Coloring, Graph
 
 from conftest import random_graph
 
@@ -257,3 +257,83 @@ class TestMetrics:
 def test_all_labeled_graphs_count():
     assert sum(1 for _ in bc.all_labeled_graphs(4)) == 2 ** 6
     assert sum(1 for _ in bc.all_labeled_graphs(0)) == 1
+
+
+class TestTrustedBuilders:
+    """Builders, operators and tree generators skip Graph's validation, so
+    their rows must pass it unchanged; outside input is still checked."""
+
+    @staticmethod
+    def _revalidate(graphs):
+        count = 0
+        for g in graphs:
+            assert Graph(g.n, g.adj) == g
+            count += 1
+        return count
+
+    def test_families(self):
+        def members():
+            for n in range(9):
+                yield bc.empty_graph(n)
+                yield bc.complete(n)
+                yield bc.star(n)
+            for n in range(1, 9):
+                yield bc.path(n)
+            for n in range(3, 9):
+                yield bc.cycle(n)
+                yield bc.wheel(n)
+                yield bc.prism(n)
+                for d in range(1, (n - 1) // 2 + 1):
+                    yield bc.gen_petersen(n, d)
+            for m in range(5):
+                for n in range(5):
+                    yield bc.complete_bipartite(m, n)
+            for n in range(1, 11):
+                for mask in range(1, 1 << (n // 2)):
+                    yield bc.circulant(n, [d + 1 for d in range(n // 2) if mask >> d & 1])
+            for dim in range(6):
+                yield bc.hypercube(dim)
+            yield from bc.all_labeled_graphs(4)
+
+        assert self._revalidate(members()) == 243
+
+    def test_operators(self):
+        rng = random.Random(11)
+        pool = [bc.empty_graph(0), bc.complete(1)] + [
+            random_graph(rng, rng.randrange(1, 6)) for _ in range(8)
+        ]
+
+        def results():
+            for g in pool:
+                yield bc.complement(g)
+                for h in pool:
+                    yield bc.join(g, h)
+                    yield bc.disjoint_union(g, h)
+                    for kind in ("cartesian", "strong", "lexicographic", "direct"):
+                        yield bc.product(kind, g, h)
+
+        assert self._revalidate(results()) == 10 + 6 * 100
+
+    def test_tree_builders(self):
+        def results():
+            for n in range(2, 7):
+                yield from bc.labeled_trees(n)  # every Prufer sequence
+            g, c = bc.complete(2), Coloring(2, 1)
+            for z in (0, 1, 2, 5, 3):
+                g, c = bc.four_vertex_addition(g, c, z)
+                yield g
+                yield bc.replay(bc.decompose_cnbc_tree(g))[0]
+            h, ch = bc.cycle(4), Coloring.from_text("RRBB")
+            for _ in range(3):
+                h, ch = bc.three_vertex_addition(h, ch, 0, 1, 2, 3)
+                yield h
+
+        assert self._revalidate(results()) == 1454
+
+    def test_outside_input_is_still_checked(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Graph.from_edges(-1, [])
+        with pytest.raises(ValueError, match="asymmetric"):
+            Graph(3, (0b010, 0b000, 0b000))
+        with pytest.raises(ValueError, match="asymmetric"):
+            Graph(2, (0b10, 0b00))
