@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import graph6 as g6
 from .coloring import Coloring, first_unbalanced, report
-from .constructions import characterize_family
+from .constructions import _family_verdict
 from .graphs import Graph, build_family
 from .solver import (
     DEFAULT_MAX_MILLIS, DEFAULT_MAX_NODES, Budget, census, enumerate_colorings, solve,
@@ -183,8 +183,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_family(args) -> int:
     name, params = _parse_family_tokens(args.family)
-    g = build_family(name, *params)
-    verdict = characterize_family(name, params, args.mode)
+    g, verdict = _family_verdict(name, params, args.mode)
     provenance = "theorem"
     status_code = EXIT_OK
     witness = verdict.witness

@@ -101,8 +101,11 @@ def _check_pair(g: Graph, c: Coloring) -> None:
         raise SizeMismatchError(f"graph has {g.n} vertices, coloring has {c.n}")
 
 
-def _mode_row(g: Graph, v: int, mode: Mode) -> int:
-    return g.adj[v] | (1 << v) if mode == "cnb" else g.adj[v]
+def _balance_rows(g: Graph, mode: Mode) -> Sequence[int]:
+    """The rows of the balance matrix M as bitsets: v's closed neighborhood
+    in cnb (M = A + I), its open one in nb (M = A). A coloring is balanced
+    exactly when every row holds as many red vertices as blue ones."""
+    return [a | (1 << v) for v, a in enumerate(g.adj)] if mode == "cnb" else g.adj
 
 
 def residuals(g: Graph, c: Coloring, mode: Mode) -> tuple[int, ...]:
@@ -110,11 +113,8 @@ def residuals(g: Graph, c: Coloring, mode: Mode) -> tuple[int, ...]:
     _check_pair(g, c)
     check_mode(mode)
     red = c.bits
-    out = []
-    for v in range(g.n):
-        row = _mode_row(g, v, mode)
-        out.append(2 * (row & red).bit_count() - row.bit_count())
-    return tuple(out)
+    return tuple(2 * (row & red).bit_count() - row.bit_count()
+                 for row in _balance_rows(g, mode))
 
 
 def first_unbalanced(g: Graph, c: Coloring, mode: Mode) -> int | None:
@@ -122,8 +122,7 @@ def first_unbalanced(g: Graph, c: Coloring, mode: Mode) -> int | None:
     _check_pair(g, c)
     check_mode(mode)
     red = c.bits
-    for v in range(g.n):
-        row = _mode_row(g, v, mode)
+    for v, row in enumerate(_balance_rows(g, mode)):
         if 2 * (row & red).bit_count() != row.bit_count():
             return v
     return None
@@ -340,15 +339,15 @@ class ForcedConstraints:
     infeasible: str | None = None
 
 
-def _twin_groups(g: Graph, mode: Mode) -> list[list[int]]:
+def _twin_groups(rows: Sequence[int]) -> list[list[int]]:
     """Vertices grouped by equal open neighborhoods (cnb) or equal closed
-    neighborhoods (nb), each group ascending, groups in order of their
-    lowest member. Twins must share a color: their balance rows differ only
-    in the twins' own entries."""
+    neighborhoods (nb), given the balance rows, each group ascending,
+    groups in order of their lowest member. Twins must share a color: their
+    balance rows differ only in the twins' own entries, so each row keys
+    its group with its own entry flipped."""
     groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        key = g.adj[v] if mode == "cnb" else g.adj[v] | (1 << v)
-        groups.setdefault(key, []).append(v)
+    for v, row in enumerate(rows):
+        groups.setdefault(row ^ (1 << v), []).append(v)
     return list(groups.values())
 
 
@@ -361,7 +360,8 @@ def leaf_force(g: Graph, mode: Mode) -> ForcedConstraints:
     the pairs link each leaf group to one neighbor that has no twin."""
     check_mode(mode)
     same = [
-        (a, b) for members in _twin_groups(g, mode) for a, b in zip(members, members[1:])
+        (a, b) for members in _twin_groups(_balance_rows(g, mode))
+        for a, b in zip(members, members[1:])
     ]
     opposite = []
     infeasible = None

@@ -165,27 +165,9 @@ def color_lexicographic(g: Graph, h: Graph, ch: Coloring) -> Coloring:
 # ---------------------------------------------------------------------------
 
 
-def _alternating_bits(n: int) -> int:
-    out = 0
-    for i in range(1, n, 2):
-        out |= 1 << i
-    return out
-
-
-def _half_period_bits(n: int) -> int:
-    out = 0
-    for i in range(n):
-        if (i % 2 == 0) != (i >= n // 2):
-            out |= 1 << i
-    return out
-
-
-def _mod4_bits(n: int) -> int:
-    out = 0
-    for i in range(n):
-        if i % 4 in (0, 1):
-            out |= 1 << i
-    return out
+def _periodic_bits(n: int, pattern: tuple[int, ...]) -> int:
+    """Bit i set iff pattern[i % len(pattern)] is nonzero."""
+    return sum(1 << i for i in range(n) if pattern[i % len(pattern)])
 
 
 def circulant_constructions(
@@ -219,19 +201,21 @@ def _circulant_routes(spec: CirculantSpec, mode: Mode) -> list[tuple[str, Colori
         if (mode == "cnb" and has_half and n % 4 == 2) or (
             mode == "nb" and not has_half
         ):
-            results.append(("alternating", Coloring(n, _alternating_bits(n))))
+            results.append(("alternating", Coloring(n, _periodic_bits(n, (0, 1)))))
 
     if n % 4 == 0:
         quarter = n // 4
         core = {d for d in below if d != quarter}
         if all((n // 2 - d) in core for d in core):
             if (mode == "cnb" and has_half) or (mode == "nb" and not has_half):
-                results.append(("half-period", Coloring(n, _half_period_bits(n))))
+                # the alternating pattern, flipped on the first half turn
+                bits = _periodic_bits(n, (0, 1)) ^ ((1 << n // 2) - 1)
+                results.append(("half-period", Coloring(n, bits)))
 
     if mode == "cnb" and has_half and n % 4 == 0:
         s1, s2, _ = spec.residue_counts()
         if (n % 8 == 0 and s2 == s1 + 1) or (n % 8 == 4 and s2 == s1):
-            results.append(("mod4-blocks", Coloring(n, _mod4_bits(n))))
+            results.append(("mod4-blocks", Coloring(n, _periodic_bits(n, (1, 1, 0, 0)))))
     return results
 
 
@@ -273,7 +257,7 @@ def _cubic_rule(spec: CirculantSpec) -> CharacterizationVerdict:
         return _no(f"reduced order {n} is not divisible by 4", "cubic-circulant")
     return _yes(
         f"reduced order {n} is divisible by 4", "cubic-circulant",
-        Coloring(n, _alternating_bits(n)),
+        Coloring(n, _periodic_bits(n, (0, 1))),
     )
 
 
@@ -286,7 +270,7 @@ def _quintic_rule(spec: CirculantSpec) -> CharacterizationVerdict:
             return _no(f"lengths {d1}, {d2} share parity with order 2 mod 4", "quintic-parity")
         return _yes(
             f"lengths {d1}, {d2} have opposite parity with order 2 mod 4", "quintic-parity",
-            Coloring(n, _alternating_bits(n)),
+            Coloring(n, _periodic_bits(n, (0, 1))),
         )
     return _route_verdict(spec, "cnb") or CharacterizationVerdict(
         "unknown", f"order {n} divisible by 4 with no constructive route; open case"
@@ -409,7 +393,7 @@ def _gp_rule(n: int, d: int) -> CharacterizationVerdict:
         return _no(f"outer cycle length {n} is odd", "gp-even-order")
     if d % 2 == 0:
         return _no(f"inner step {d} is even", "gp-odd-step")
-    alt = _alternating_bits(n)
+    alt = _periodic_bits(n, (0, 1))
     return _yes(
         f"outer cycle length {n} even and inner step {d} odd", "gp-parity",
         Coloring(2 * n, alt | (alt << n)),
@@ -484,18 +468,14 @@ def _prism_colorings(n: int) -> list[Coloring]:
     if n % 2 == 1:
         return []
     out = []
-    alt = _alternating_bits(n)
+    alt = _periodic_bits(n, (0, 1))
     first = Coloring(2 * n, alt | (alt << n))
     out.append(first)
     out.append(first.flip())
     if n % 4 == 0:
         for a0 in (0, 1):
             for a1 in (0, 1):
-                pattern = (a0, a1, 1 - a0, 1 - a1)
-                p = 0
-                for j in range(n):
-                    if pattern[j % 4]:
-                        p |= 1 << j
+                p = _periodic_bits(n, (a0, a1, 1 - a0, 1 - a1))
                 full = (1 << n) - 1
                 out.append(Coloring(2 * n, p | ((p ^ full) << n)))
     return sorted(out, key=Coloring.to_text)
@@ -542,16 +522,23 @@ def characterize_family(kind: str, params: tuple, mode: Mode) -> Characterizatio
     what is left, and their witness is verified on the member built at the
     start. Anything else is unknown, and callers fall back to the solver.
     """
+    return _family_verdict(kind, params, mode)[1]
+
+
+def _family_verdict(
+    kind: str, params: tuple, mode: Mode
+) -> tuple[Graph, CharacterizationVerdict]:
+    """The member characterize_family builds, with its verdict."""
     check_mode(mode)
     g = build_family(kind, *params)
     if mode == "cnb":
         why = leaf_overload(g, g.degrees())
         if why is not None:
-            return _no(why, "leaf-bound")
+            return g, _no(why, "leaf-bound")
     why = prefilter_reason(g, mode)
     if why is not None:
-        return _no(why, "degree-parity")
-    return _checked(_family_rule(kind, params, mode), g, mode)
+        return g, _no(why, "degree-parity")
+    return g, _checked(_family_rule(kind, params, mode), g, mode)
 
 
 def _complete_rule(n: int, mode: Mode) -> CharacterizationVerdict:
@@ -596,7 +583,8 @@ def _family_rule(kind: str, params: tuple, mode: Mode) -> CharacterizationVerdic
     if kind == "cycle":  # cnb: even degrees
         if n % 4 == 0:
             return _yes(
-                f"cycle length {n} divisible by 4", "cycle-mod4", Coloring(n, _mod4_bits(n))
+                f"cycle length {n} divisible by 4", "cycle-mod4",
+                Coloring(n, _periodic_bits(n, (1, 1, 0, 0))),
             )
         return _no(f"cycle length {n} not divisible by 4", "cycle-mod4")
     if kind == "wheel":  # nb: rim degree 3; cnb: rim lengths 0, 1 and 2 mod 4

@@ -431,21 +431,18 @@ class GraphMetrics:
     components: tuple[tuple[int, ...], ...]
 
 
-def _bfs_reach(adj: Sequence[int], start: int) -> tuple[int, int]:
-    """Return (visited mask, eccentricity of start within its component)."""
-    visited = 1 << start
-    frontier = visited
-    depth = 0
-    while True:
+def _bfs_layers(adj: Sequence[int], start: int) -> Iterator[int]:
+    """Yield the breadth-first layers from start as disjoint vertex masks:
+    layer k holds the vertices at distance k. Their sum is start's
+    component, and their count less one is start's eccentricity."""
+    seen = layer = 1 << start
+    while layer:
+        yield layer
         nxt = 0
-        for v in bits(frontier):
+        for v in bits(layer):
             nxt |= adj[v]
-        nxt &= ~visited
-        if not nxt:
-            return visited, depth
-        visited |= nxt
-        frontier = nxt
-        depth += 1
+        layer = nxt & ~seen
+        seen |= layer
 
 
 def metrics(g: Graph) -> GraphMetrics:
@@ -462,7 +459,7 @@ def metrics(g: Graph) -> GraphMetrics:
     for v in range(g.n):
         if (seen >> v) & 1:
             continue
-        mask, _ = _bfs_reach(g.adj, v)
+        mask = sum(_bfs_layers(g.adj, v))
         seen |= mask
         components.append(tuple(bits(mask)))
     connected = len(components) <= 1
@@ -471,7 +468,7 @@ def metrics(g: Graph) -> GraphMetrics:
     elif g.n <= 1:
         diameter = 0
     else:
-        diameter = max(_bfs_reach(g.adj, v)[1] for v in range(g.n))
+        diameter = max(sum(1 for _ in _bfs_layers(g.adj, v)) for v in range(g.n)) - 1
     is_tree = connected and g.n >= 1 and g.edge_count == g.n - 1
     return GraphMetrics(
         degrees=degs,
@@ -486,8 +483,7 @@ def metrics(g: Graph) -> GraphMetrics:
 def is_tree(g: Graph) -> bool:
     if g.n < 1 or g.edge_count != g.n - 1:
         return False
-    mask, _ = _bfs_reach(g.adj, 0)
-    return mask == (1 << g.n) - 1
+    return sum(_bfs_layers(g.adj, 0)) == (1 << g.n) - 1
 
 
 def all_labeled_graphs(n: int) -> Iterator[Graph]:

@@ -51,7 +51,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .coloring import Coloring, Mode, check_mode, verify
+from .coloring import Coloring, Mode, _balance_rows, check_mode, verify
 from .graphs import Graph, spread
 
 P = (1 << 61) - 1
@@ -317,8 +317,7 @@ def kernel_verdict(
     n = g.n
     if n == 0:  # the empty coloring
         return LinearVerdict("sat", 0, 0, 0)
-    rows = [a | (1 << v) for v, a in enumerate(g.adj)] if mode == "cnb" else list(g.adj)
-    pivots, tails = echelon(rows, n)
+    pivots, tails = echelon(_balance_rows(g, mode), n)
     nullity = n - len(pivots)
     if nullity == 0:
         return LinearVerdict("unsat", 0)

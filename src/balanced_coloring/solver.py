@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal
 
 from .coloring import (
-    Coloring, Mode, _twin_groups, check_mode, checked_output, leaf_overload,
+    Coloring, Mode, _balance_rows, _twin_groups, check_mode, checked_output, leaf_overload,
 )
 from .graphs import Graph, bits
 
@@ -135,7 +135,6 @@ class _Search:
         "n",
         "rows",
         "row_members",
-        "closed",
         "cur",
         "free",
         "assigned",
@@ -151,11 +150,9 @@ class _Search:
     def __init__(self, g: Graph, mode: Mode):
         n = g.n
         self.n = n
-        closed = [g.adj[v] | (1 << v) for v in range(n)]
-        rows = closed if mode == "cnb" else list(g.adj)
+        rows = _balance_rows(g, mode)
         self.rows = rows
         self.row_members = [tuple(bits(r)) for r in rows]
-        self.closed = closed
         self.cur = [0] * n
         self.free = [r.bit_count() for r in rows]
         self.assigned = 0
@@ -169,7 +166,7 @@ class _Search:
         # the leaves), so classes never collide, and the only contradiction
         # is leaf_overload, which _open_search checks. A K2 component is
         # joined once, from its lower end.
-        groups = _twin_groups(g, mode)
+        groups = _twin_groups(rows)
         class_of = [0] * n
         par_of = [0] * n
         for k, group in enumerate(groups):
@@ -257,7 +254,7 @@ class _Search:
         for v in range(self.n):
             if (assigned >> v) & 1:
                 continue
-            key = (self.free[v], -(self.closed[v] & assigned).bit_count())
+            key = (self.free[v], -(self.rows[v] & assigned).bit_count())
             if bkey is None or key < bkey:
                 bkey = key
                 best = v

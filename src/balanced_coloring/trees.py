@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 from .coloring import (
     Coloring, InvalidColoringError, checked_output, leaf_overload, require_valid,
 )
-from .graphs import Graph, bits, is_tree
+from .graphs import Graph, _bfs_layers, bits, is_tree
 
 
 class NotATreeError(ValueError):
@@ -186,34 +186,20 @@ def replay(script: TreeBuildScript) -> tuple[Graph, Coloring]:
 # ---------------------------------------------------------------------------
 
 
-def _bfs_farthest(adj: Sequence[int], start: int) -> tuple[int, dict[int, int]]:
-    """Farthest vertex from start (lowest id on ties) plus BFS parents."""
-    parent = {start: -1}
-    frontier = [start]
-    far = start
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in bits(adj[v]):
-                if u not in parent:
-                    parent[u] = v
-                    nxt.append(u)
-        if nxt:
-            far = min(nxt)
-        frontier = nxt
-    return far, parent
-
-
 def _longest_path(adj: Sequence[int], start: int) -> list[int]:
-    a, _ = _bfs_farthest(adj, start)
-    b, parent = _bfs_farthest(adj, a)
-    rev = []
-    v = b
-    while v != -1:
-        rev.append(v)
-        v = parent[v]
-    rev.reverse()  # now runs from a to b
-    return rev
+    """A longest path of the tree holding start, from a, the lowest vertex
+    of the last BFS layer from start, to the lowest vertex of the last BFS
+    layer from a. Each vertex has exactly one neighbor in the layer before
+    its own, so the walk back from the far end is forced."""
+    *_, last = _bfs_layers(adj, start)
+    layers = list(_bfs_layers(adj, (last & -last).bit_length() - 1))
+    v = (layers[-1] & -layers[-1]).bit_length() - 1
+    path = [v]
+    for layer in reversed(layers[:-1]):
+        v = (adj[v] & layer).bit_length() - 1
+        path.append(v)
+    path.reverse()
+    return path
 
 
 def decompose_cnbc_tree(t: Graph) -> TreeBuildScript | None:
@@ -235,34 +221,27 @@ def decompose_cnbc_tree(t: Graph) -> TreeBuildScript | None:
         return None
     adj = list(t.adj)
     alive = (1 << n) - 1
-    count = n
     steps: list[AdditionStep] = []
-    while count > 2:
+    while alive.bit_count() > 2:
         start = (alive & -alive).bit_length() - 1
         path = _longest_path(adj, start)
         if len(path) < 4:
             return None
-        v1, v2, v3 = path[0], path[1], path[2]
+        v2, v3 = path[1], path[2]
         if adj[v2].bit_count() != 3:
             return None
-        others = adj[v2] & ~(1 << v3)
-        leaf_pair = sorted(bits(others))
-        if any(adj[u].bit_count() != 1 for u in leaf_pair):
+        # both are leaves: a further neighbor would extend the longest path
+        w1, w2 = bits(adj[v2] & ~(1 << v3))
+        x = next((u for u in bits(adj[v3]) if adj[u].bit_count() == 1), None)
+        if x is None:
             return None
-        w1, w2 = leaf_pair
-        v3_leaves = [u for u in bits(adj[v3]) if adj[u].bit_count() == 1]
-        if not v3_leaves:
-            return None
-        x = v3_leaves[0]
         steps.append(AdditionStep(z=v3, v=v2, x=x, w1=w1, w2=w2))
         for gone in (v2, x, w1, w2):
             for nb in bits(adj[gone]):
                 adj[nb] &= ~(1 << gone)
             adj[gone] = 0
             alive &= ~(1 << gone)
-        count -= 4
-    rest = sorted(bits(alive))
-    return TreeBuildScript(steps=tuple(reversed(steps)), base=(rest[0], rest[1]))
+    return TreeBuildScript(steps=tuple(reversed(steps)), base=tuple(bits(alive)))
 
 
 # ---------------------------------------------------------------------------

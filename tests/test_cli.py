@@ -252,6 +252,21 @@ class TestFamily:
         assert code == 2 and not out
         assert "262144" in err
 
+    def test_member_is_built_once(self, capsys, monkeypatch):
+        from balanced_coloring import graphs
+        calls = []
+        real = graphs.hypercube
+
+        def counting(dim):
+            calls.append(dim)
+            return real(dim)
+
+        # _FAMILIES looks the builder up in the module at call time
+        monkeypatch.setattr(graphs, "hypercube", counting)
+        code, out, _ = run(capsys, "family", "hypercube", "4")
+        assert code == 1 and jline(out)["verdict"] == "no"
+        assert calls == [4]
+
     def test_circulant_single_length_needs_no_comma(self, capsys):
         code, out, err = run(capsys, "family", "circulant", "12", "6")
         code_comma, out_comma, _ = run(capsys, "family", "circulant", "12", "6,")

@@ -3,10 +3,11 @@
 import json
 import random
 
+import networkx as nx
 import pytest
 
 import balanced_coloring as bc
-from balanced_coloring import AdditionStep, Coloring, Graph, TreeBuildScript
+from balanced_coloring import AdditionStep, Coloring, Graph, TreeBuildScript, trees
 
 from conftest import H6_EDGES, H7_COLORING, H7_EDGES
 
@@ -185,6 +186,47 @@ class TestDecompose:
             assert sorted(re_g.degrees()) == sorted(g.degrees())
             assert bc.verify_cnb(re_g, re_c)
             assert bc.solve(g, "cnb").status == "sat"
+
+    @staticmethod
+    def _grown_tree(steps, seed):
+        # 4-vertex additions at random anchors, then a random relabeling
+        rng = random.Random(seed)
+        g, c = bc.complete(2), Coloring.from_text("RB")
+        for _ in range(steps):
+            g, c = bc.four_vertex_addition(g, c, rng.randrange(g.n))
+        label = list(range(g.n))
+        rng.shuffle(label)
+        return Graph.from_edges(g.n, [(label[u], label[v]) for u, v in g.edges()])
+
+    @pytest.mark.parametrize("steps, seed, base, expect", [
+        (2, 1, [0, 6], [(0, 7, 5, 2, 8), (5, 3, 9, 1, 4)]),
+        (3, 2, [6, 7], [(7, 13, 0, 3, 12), (13, 8, 1, 4, 9), (12, 10, 11, 2, 5)]),
+        (4, 3, [7, 8], [(8, 14, 0, 4, 17), (17, 10, 3, 12, 16), (16, 9, 6, 11, 15),
+                        (16, 1, 2, 5, 13)]),
+    ])
+    def test_script_is_pinned(self, steps, seed, base, expect):
+        # `tree decompose` output must repeat across versions, so the peel
+        # order (which longest path, which leaf) is part of the contract
+        script = bc.decompose_cnbc_tree(self._grown_tree(steps, seed))
+        assert script.as_dict() == {
+            "base": base,
+            "steps": [dict(zip(("z", "v", "x", "w1", "w2"), s)) for s in expect],
+        }
+
+    def test_longest_path_against_networkx(self):
+        rng = random.Random(60)
+        for _ in range(300):
+            n = rng.randint(2, 60)
+            t = bc.random_labeled_tree(n, rng)
+            start = rng.randrange(n)
+            path = trees._longest_path(t.adj, start)
+            ref = nx.Graph(list(t.edges()))
+            assert len(path) == len(set(path)) == nx.diameter(ref) + 1
+            assert all(ref.has_edge(u, v) for u, v in zip(path, path[1:]))
+            for src, end in ((start, path[0]), (path[0], path[-1])):
+                dist = nx.single_source_shortest_path_length(ref, src)
+                far = max(dist.values())
+                assert end == min(v for v, d in dist.items() if d == far)
 
     def test_forced_coloring_structure(self):
         # a balanced tree has exactly one coloring up to swap
