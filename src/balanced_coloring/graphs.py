@@ -439,8 +439,10 @@ def _bfs_layers(adj: Sequence[int], start: int) -> Iterator[int]:
     while layer:
         yield layer
         nxt = 0
-        for v in bits(layer):
-            nxt |= adj[v]
+        while layer:
+            low = layer & -layer
+            nxt |= adj[low.bit_length() - 1]
+            layer ^= low
         layer = nxt & ~seen
         seen |= layer
 

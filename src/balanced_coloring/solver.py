@@ -1,20 +1,39 @@
 """Exact decision, enumeration, and census for balanced colorings.
 
-The search keeps, for every vertex, the signed red-minus-blue count of its
-relevant neighborhood (closed for cnb, open for nb) restricted to assigned
-vertices, plus the number of unassigned slots. A vertex with current count c
-and f free slots can still reach residual zero only if |c| <= f and c + f is
-even; when c equals +-f the free slots are all forced to one color. Forced
-classes (twin groups, joined in cnb by the leaves of a vertex with the
-opposite color) are built up front, so one assignment colors a whole class
-at once.
+A coloring is balanced when every row u of the balance matrix M (closed
+neighborhoods for cnb, open ones for nb) holds h_u = |row u| / 2 red and
+h_u blue vertices; the prefilter leaves every row even. The search keeps two
+capacities per vertex: RC_u, h_u less the red vertices assigned in row u,
+and BC_u, the same for blue. They are bit-sliced: plane k of ``rc`` is the
+mask of the vertices whose RC has bit k set (likewise ``bc``; the count of
+planes is the bit length of the largest h), so one assignment updates all
+the rows it lies in with a borrow chain over the planes. The masks ``zr``
+and ``zb`` hold the rows at zero red or blue capacity. Assigning w red
+conflicts exactly when a row of w is in ``zr``; a row whose red capacity
+just reached zero forces its unassigned rest blue, and blue is symmetric.
+A trail of the assigned vertices undoes them on backtracking. Forced classes
+(twin groups, joined in cnb by the leaves of a vertex with the opposite
+color) are built up front, so one assignment colors a whole class at once.
+
+In terms of a row's red-minus-blue count c and its free slots f, RC = (f -
+c) / 2 and BC = (f + c) / 2. So the bound |c| <= f says both capacities are
+non-negative, and a row can only go over once one is zero, which is the
+conflict test; c + f = |row| - 2b is always even, so parity never rules a
+row out; and c = +-f with f > 0 is one capacity at zero with the other
+not. A vertex already queued with a color in the same propagation is not
+queued again, since the earlier entry is handled first and the later one
+would change nothing. ``propagations`` therefore counts exactly the forced
+assignments of a search over (c, f).
 
 One iterative depth-first search (an explicit stack, no recursion) serves
-both decision and enumeration. Decision picks the most constrained vertex,
-red first; its unsat answers are exhaustive, and fixing vertex 0 red is
-sound because swapping the two colors preserves validity. Enumeration picks
-the lowest unassigned vertex, blue first, never breaks symmetry, and so
-emits colorings in lexicographic order of their R/B text.
+both decision and enumeration. Decision picks the unassigned vertex with
+the fewest free slots in its row (RC + BC, summed plane by plane with a
+ripple-carry adder), then the largest row (the most assigned members), then
+the lowest index, and tries red first; its unsat answers are exhaustive,
+and fixing vertex 0 red is sound because swapping the two colors preserves
+validity. Enumeration picks the lowest unassigned vertex, blue first, never
+breaks symmetry, and so emits colorings in lexicographic order of their R/B
+text.
 
 Decision runs an exact linear stage (``linalg``) once the search has used
 an allowance of decisions without an answer: the rank of the balance
@@ -35,7 +54,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal
 from .coloring import (
     Coloring, Mode, _balance_rows, _twin_groups, check_mode, checked_output, leaf_overload,
 )
-from .graphs import Graph, bits
+from .graphs import Graph
 
 if TYPE_CHECKING:
     from .linalg import LinearVerdict
@@ -134,9 +153,11 @@ class _Search:
     __slots__ = (
         "n",
         "rows",
-        "row_members",
-        "cur",
-        "free",
+        "halves",
+        "rc",
+        "bc",
+        "zr",
+        "zb",
         "assigned",
         "red",
         "trail",
@@ -152,9 +173,20 @@ class _Search:
         self.n = n
         rows = _balance_rows(g, mode)
         self.rows = rows
-        self.row_members = [tuple(bits(r)) for r in rows]
-        self.cur = [0] * n
-        self.free = [r.bit_count() for r in rows]
+        # the prefilter leaves every row even; h = |row| / 2 starts both
+        # capacities, held as planes (plane k: the vertices whose h has bit
+        # k), each parsed from binary text in time linear in n
+        hs = [r.bit_count() >> 1 for r in rows]
+        self.halves = [
+            int("".join("1" if (h >> k) & 1 else "0" for h in reversed(hs)), 2)
+            for k in range(max(hs, default=0).bit_length())
+        ]
+        self.rc = list(self.halves)
+        self.bc = list(self.halves)
+        empty = (1 << n) - 1
+        for plane in self.halves:
+            empty &= ~plane
+        self.zr = self.zb = empty
         self.assigned = 0
         self.red = 0
         self.trail: list[int] = []
@@ -194,71 +226,132 @@ class _Search:
     def _request(self, queue: list[tuple[int, int]]) -> bool:
         """Apply assignment requests plus everything they force; False on
         conflict. Assignments land on the trail for later unwinding."""
-        cur = self.cur
-        free = self.free
         rows = self.rows
-        row_members = self.row_members
-        qi = 0
-        while qi < len(queue):
-            v, col = queue[qi]
-            qi += 1
-            base = col ^ self.par_of[v]
-            for w, pw in self.class_members[self.class_of[v]]:
-                want = base ^ pw
-                wb = 1 << w
-                if self.assigned & wb:
-                    if ((self.red >> w) & 1) != want:
-                        return False
-                    continue
-                self.assigned |= wb
-                if want:
-                    self.red |= wb
-                self.trail.append(w)
-                self.assignments += 1
-                delta = 1 if want else -1
-                for u in row_members[w]:
-                    cur[u] += delta
-                    free[u] -= 1
-                for u in row_members[w]:
-                    f = free[u]
-                    cv = cur[u]
-                    if cv > f or cv < -f or (cv + f) & 1:
-                        return False
-                    if f and (cv == f or cv == -f):
-                        fcol = 0 if cv == f else 1
-                        rest = rows[u] & ~self.assigned
-                        while rest:
-                            low = rest & -rest
-                            rest ^= low
-                            queue.append((low.bit_length() - 1, fcol))
-        return True
+        trail = self.trail
+        class_of = self.class_of
+        par_of = self.par_of
+        members = self.class_members
+        assigned = self.assigned
+        red = self.red
+        # by color (0 blue, 1 red): capacity planes, zero-capacity rows, and
+        # the vertices this call has already queued with that color; the
+        # queue holds (vertex mask, color), handled lowest vertex first
+        caps = (self.bc, self.rc)
+        zero = [self.zb, self.zr]
+        queued = [0, 0]
+        pending = [(1 << v, col) for v, col in queue]
+        count = 0
+        try:
+            for mask, col in pending:
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    v = low.bit_length() - 1
+                    base = col ^ par_of[v]
+                    for w, pw in members[class_of[v]]:
+                        want = base ^ pw
+                        wb = 1 << w
+                        if assigned & wb:
+                            if ((red >> w) & 1) != want:
+                                return False
+                            continue
+                        count += 1
+                        row = rows[w]
+                        # a row at zero capacity for this color would go
+                        # over; no parity test is needed, every row is even
+                        if row & zero[want]:
+                            return False
+                        assigned |= wb
+                        if want:
+                            red |= wb
+                        trail.append(w)
+                        cap = caps[want]
+                        borrow = row
+                        for k, plane in enumerate(cap):
+                            cap[k] = plane ^ borrow
+                            borrow &= ~plane
+                            if not borrow:
+                                break
+                        for plane in cap:
+                            row &= ~plane
+                        if not row:
+                            continue
+                        # rows that just used up this color's capacity force
+                        # their unassigned rest to the other color
+                        zero[want] |= row
+                        fcol = want ^ 1
+                        row &= ~zero[fcol]
+                        while row:
+                            low = row & -row
+                            row ^= low
+                            rest = rows[low.bit_length() - 1] & ~assigned & ~queued[fcol]
+                            if rest:
+                                queued[fcol] |= rest
+                                pending.append((rest, fcol))
+            return True
+        finally:
+            self.assigned = assigned
+            self.red = red
+            self.zb, self.zr = zero
+            self.assignments += count
 
     def _unwind(self, mark: int) -> None:
-        cur = self.cur
-        free = self.free
-        while len(self.trail) > mark:
-            w = self.trail.pop()
-            delta = -1 if (self.red >> w) & 1 else 1
-            for u in self.row_members[w]:
-                cur[u] += delta
-                free[u] += 1
-            self.assigned &= ~(1 << w)
-            self.red &= ~(1 << w)
+        trail = self.trail
+        if len(trail) <= mark:
+            return
+        rows = self.rows
+        rc = self.rc
+        bc = self.bc
+        assigned = self.assigned
+        red = self.red
+        zr = self.zr
+        zb = self.zb
+        while len(trail) > mark:
+            w = trail.pop()
+            wb = 1 << w
+            row = rows[w]
+            if red & wb:
+                cap = rc
+                zr &= ~row
+                red ^= wb
+            else:
+                cap = bc
+                zb &= ~row
+            assigned ^= wb
+            carry = row
+            for k, plane in enumerate(cap):
+                cap[k] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+        self.assigned = assigned
+        self.red = red
+        self.zr = zr
+        self.zb = zb
 
     # -- search ------------------------------------------------------------
 
     def _pick(self) -> int:
-        best = -1
-        bkey: tuple[int, int] | None = None
-        assigned = self.assigned
-        for v in range(self.n):
-            if (assigned >> v) & 1:
-                continue
-            key = (self.free[v], -(self.rows[v] & assigned).bit_count())
-            if bkey is None or key < bkey:
-                bkey = key
-                best = v
-        return best
+        """The unassigned vertex with the fewest free slots in its row, then
+        the largest row, then the lowest index."""
+        un = ((1 << self.n) - 1) & ~self.assigned
+        if not un:
+            return -1
+        # free slots = red + blue capacity, added plane by plane
+        free = []
+        carry = 0
+        for r, b in zip(self.rc, self.bc):
+            half = r ^ b
+            free.append(half ^ carry)
+            carry = (r & b) | (carry & half)
+        free.append(carry)
+        for plane in reversed(free):
+            if un & ~plane:
+                un &= ~plane
+        for plane in reversed(self.halves):
+            if un & plane:
+                un &= plane
+        return (un & -un).bit_length() - 1
 
     def _lowest(self) -> int:
         un = ((1 << self.n) - 1) & ~self.assigned

@@ -9,12 +9,17 @@ from __future__ import annotations
 
 import functools
 import random
+import time
 from itertools import combinations
+from typing import Callable, Iterator
 
 import pytest
 
 from balanced_coloring import Graph
+from balanced_coloring.coloring import Mode, _balance_rows, _twin_groups
 from balanced_coloring.graph6 import Graph6Error
+from balanced_coloring.graphs import bits
+from balanced_coloring.solver import _LimitExceeded
 
 
 def ref_neighbor_sets(g: Graph) -> dict[int, set[int]]:
@@ -157,6 +162,185 @@ def ref_graph6_decode(text: str | bytes) -> Graph:
     if pad and (data[-1] - _G6_OFFSET) & ((1 << pad) - 1):
         raise Graph6Error("nonzero-padding", len(data) - 1, "padding bits must be zero")
     return Graph(n, tuple(rows))
+
+
+# Search reference: the counter-list search core the bit-sliced one in
+# solver._Search replaced (a signed red-minus-blue count and a free-slot
+# count per row, a rescan of every vertex per pick). Patched in for
+# solver._Search, it must give the same verdicts, witnesses, counters and
+# enumeration order.
+class RefSearch:
+    """One search instance over a fixed graph and mode."""
+
+    __slots__ = (
+        "n",
+        "rows",
+        "row_members",
+        "cur",
+        "free",
+        "assigned",
+        "red",
+        "trail",
+        "decisions",
+        "assignments",
+        "class_of",
+        "par_of",
+        "class_members",
+    )
+
+    def __init__(self, g: Graph, mode: Mode):
+        n = g.n
+        self.n = n
+        rows = _balance_rows(g, mode)
+        self.rows = rows
+        self.row_members = [tuple(bits(r)) for r in rows]
+        self.cur = [0] * n
+        self.free = [r.bit_count() for r in rows]
+        self.assigned = 0
+        self.red = 0
+        self.trail: list[int] = []
+        self.decisions = 0
+        self.assignments = 0
+        # A class is a twin group; in cnb the leaves of a vertex form one
+        # group, which joins that vertex's own class with the opposite
+        # color. The vertex has no twin (a twin would also be adjacent to
+        # the leaves), so classes never collide, and the only contradiction
+        # is leaf_overload, which _open_search checks. A K2 component is
+        # joined once, from its lower end.
+        groups = _twin_groups(rows)
+        class_of = [0] * n
+        par_of = [0] * n
+        for k, group in enumerate(groups):
+            for v in group:
+                class_of[v] = k
+        if mode == "cnb":
+            for group in groups:
+                v = group[0]
+                if g.adj[v].bit_count() == 1:
+                    u = g.adj[v].bit_length() - 1
+                    if g.adj[u].bit_count() == 1 and u < v:
+                        continue
+                    for w in group:
+                        class_of[w] = class_of[u]
+                        par_of[w] = 1
+        members: list[list[tuple[int, int]]] = [[] for _ in groups]
+        for v in range(n):
+            members[class_of[v]].append((v, par_of[v]))
+        self.class_of = class_of
+        self.par_of = par_of
+        self.class_members = members
+
+    # -- propagation -------------------------------------------------------
+
+    def _request(self, queue: list[tuple[int, int]]) -> bool:
+        """Apply assignment requests plus everything they force; False on
+        conflict. Assignments land on the trail for later unwinding."""
+        cur = self.cur
+        free = self.free
+        rows = self.rows
+        row_members = self.row_members
+        qi = 0
+        while qi < len(queue):
+            v, col = queue[qi]
+            qi += 1
+            base = col ^ self.par_of[v]
+            for w, pw in self.class_members[self.class_of[v]]:
+                want = base ^ pw
+                wb = 1 << w
+                if self.assigned & wb:
+                    if ((self.red >> w) & 1) != want:
+                        return False
+                    continue
+                self.assigned |= wb
+                if want:
+                    self.red |= wb
+                self.trail.append(w)
+                self.assignments += 1
+                delta = 1 if want else -1
+                for u in row_members[w]:
+                    cur[u] += delta
+                    free[u] -= 1
+                for u in row_members[w]:
+                    f = free[u]
+                    cv = cur[u]
+                    if cv > f or cv < -f or (cv + f) & 1:
+                        return False
+                    if f and (cv == f or cv == -f):
+                        fcol = 0 if cv == f else 1
+                        rest = rows[u] & ~self.assigned
+                        while rest:
+                            low = rest & -rest
+                            rest ^= low
+                            queue.append((low.bit_length() - 1, fcol))
+        return True
+
+    def _unwind(self, mark: int) -> None:
+        cur = self.cur
+        free = self.free
+        while len(self.trail) > mark:
+            w = self.trail.pop()
+            delta = -1 if (self.red >> w) & 1 else 1
+            for u in self.row_members[w]:
+                cur[u] += delta
+                free[u] += 1
+            self.assigned &= ~(1 << w)
+            self.red &= ~(1 << w)
+
+    # -- search ------------------------------------------------------------
+
+    def _pick(self) -> int:
+        best = -1
+        bkey: tuple[int, int] | None = None
+        assigned = self.assigned
+        for v in range(self.n):
+            if (assigned >> v) & 1:
+                continue
+            key = (self.free[v], -(self.rows[v] & assigned).bit_count())
+            if bkey is None or key < bkey:
+                bkey = key
+                best = v
+        return best
+
+    def _lowest(self) -> int:
+        un = ((1 << self.n) - 1) & ~self.assigned
+        return (un & -un).bit_length() - 1
+
+    def full_assignments(
+        self, pick: Callable[[], int], colors: tuple[int, int], deadline: float,
+        max_nodes: float, pause: int = 0,
+    ) -> Iterator[int]:
+        """Red mask of each full assignment, depth first: branch on pick()
+        (-1 once all are assigned), trying colors in order; the stack holds
+        (vertex, next color index, trail mark). Each branch is one decision;
+        passing max_nodes of them, or the deadline (checked every 1024),
+        raises _LimitExceeded. At decision number ``pause`` (0: never) it
+        yields -1 once; resuming continues exactly where it stopped."""
+        stack: list[tuple[int, int, int]] = []
+        ok = True
+        while True:
+            if ok:
+                v = pick()
+                if v < 0:
+                    yield self.red
+                else:
+                    self.decisions += 1
+                    if self.decisions > max_nodes or (
+                        not self.decisions & 1023 and time.monotonic() > deadline
+                    ):
+                        raise _LimitExceeded
+                    if self.decisions == pause:
+                        yield -1
+                    stack.append((v, 0, len(self.trail)))
+            if not stack:
+                return
+            v, i, mark = stack[-1]
+            self._unwind(mark)
+            if i == len(colors):
+                stack.pop()
+                ok = False
+            else:
+                stack[-1] = (v, i + 1, mark)
+                ok = self._request([(v, colors[i])])
 
 
 # H6: the unique 6-vertex balanced tree, labeled z1=0, z2=1, v=2, x=3,

@@ -1,14 +1,16 @@
 """Exact search: soundness, completeness against brute force, determinism,
 enumeration order, budgets, and the census stream."""
 
+import functools
 import random
+import tracemalloc
 
 import pytest
 
 import balanced_coloring as bc
 from balanced_coloring import Budget, Coloring, solver
 
-from conftest import H7_COLORING, brute_force_masks, random_graph
+from conftest import H7_COLORING, RefSearch, brute_force_masks, random_graph
 
 
 class TestAnchors:
@@ -227,6 +229,140 @@ class TestDeepInputs:
         texts = [c.to_text() for c in out.colorings]
         assert len(texts) == 3 and texts == sorted(texts)
         assert all(bc.verify(g, c, "cnb") for c in out.colorings)
+
+    @pytest.mark.parametrize("part, copies, mode", [
+        (bc.cycle(4), 2500, "nb"), (bc.complete(2), 5000, "cnb"),
+    ])
+    def test_ten_thousand_vertices_in_seconds(self, part, copies, mode):
+        # the counter-list search rescanned every vertex per pick and
+        # needed 15-19 s here, with these same counts
+        g = _union_of_copies(part, copies)
+        out = bc.solve(g, mode, Budget(max_millis=5_000))
+        assert (out.status, out.stats.nodes, out.stats.propagations) == ("sat", 4999, 5001)
+        assert bc.verify(g, out.witness, mode)
+
+    def test_search_memory_stays_small(self):
+        # the trail undoes assignments one by one; state copied at every
+        # decision would grow as order times depth
+        g = _union_of_copies(bc.cycle(4), 1200)
+        tracemalloc.start()
+        try:
+            assert bc.solve(g, "nb").status == "sat"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
+
+
+def _fit_parities(g, mode, rng):
+    """g with a random matching of its wrong-parity vertices toggled, so
+    that the prefilter's degree test passes (cnb needs an even order too)."""
+    odd = mode == "cnb"
+    bad = [v for v in range(g.n) if g.adj[v].bit_count() % 2 != odd]
+    rng.shuffle(bad)
+    rows = list(g.adj)
+    for u, v in zip(bad[::2], bad[1::2]):
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+    return bc.Graph(g.n, tuple(rows))
+
+
+def _random_regular(n, d, rng):
+    """A d-regular circulant scrambled by degree-preserving double-edge
+    swaps (n * d even, d < n)."""
+    lengths = list(range(1, d // 2 + 1)) + ([n // 2] if d % 2 else [])
+    edges = sorted({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in lengths})
+    present = set(edges)
+    for _ in range(10 * len(edges)):
+        i, j = rng.randrange(len(edges)), rng.randrange(len(edges))
+        (a, b), (c, e) = edges[i], edges[j]
+        ae, cb = tuple(sorted((a, e))), tuple(sorted((c, b)))
+        if len({a, b, c, e}) < 4 or ae in present or cb in present:
+            continue
+        present -= {edges[i], edges[j]}
+        present |= {ae, cb}
+        edges[i], edges[j] = ae, cb
+    return bc.Graph.from_edges(n, edges)
+
+
+class TestAgainstReferenceSearch:
+    """The bit-sliced search core against the counter-list core it replaced
+    (conftest.RefSearch): the same verdicts, witnesses, reasons, counters
+    and enumeration order, case by case."""
+
+    @staticmethod
+    def _solves(cases):
+        out = []
+        for g, mode, budget in cases:
+            rec = bc.solve(g, mode, budget).as_dict()
+            del rec["millis"]
+            out.append(rec)
+        return out
+
+    @staticmethod
+    def _enumerations(cases):
+        out = []
+        for g, mode in cases:
+            e = bc.enumerate_colorings(g, mode, cap=50)
+            texts = [c.to_text() for c in e.colorings]
+            out.append((texts, e.capped, e.stats.nodes, e.stats.propagations))
+        return out
+
+    @staticmethod
+    def _compare(monkeypatch, run, cases):
+        got = run(cases)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_Search", RefSearch)
+            want = run(cases)
+        for case, a, b in zip(cases, got, want):
+            assert a == b, (case[0].n, list(case[0].edges()), case[1:])
+        return got
+
+    def test_labeled_graphs_solve(self, monkeypatch):
+        cases = [(g, mode, None) for n in range(7) for g in bc.all_labeled_graphs(n)
+                 for mode in ("cnb", "nb")]
+        self._compare(monkeypatch, self._solves, cases)
+
+    def test_labeled_graphs_enumerate(self, monkeypatch):
+        cases = [(g, mode) for n in range(6) for g in bc.all_labeled_graphs(n)
+                 for mode in ("cnb", "nb")]
+        self._compare(monkeypatch, self._enumerations, cases)
+
+    def test_random_graphs_at_three_budgets(self, monkeypatch):
+        rng = random.Random(91)
+        cases = []
+        for i in range(300):
+            g = random_graph(rng, rng.randint(7, 40), rng.choice((0.15, 0.3, 0.5)))
+            for mode in ("cnb", "nb"):
+                h = _fit_parities(g, mode, rng) if i % 4 else g
+                cases += [(h, mode, Budget(max_nodes=k)) for k in (10, 150, 1_000)]
+        recs = self._compare(monkeypatch, self._solves, cases)
+        assert {r["status"] for r in recs} == {"sat", "unsat", "timeout"}
+
+    def test_regular_graphs_through_the_linear_stage(self, monkeypatch):
+        # 150 nodes: past the search allowance, so the search pauses for the
+        # linear stage. Half the graphs are one random regular block beside
+        # complete (cnb) or complete bipartite (nb) blocks of the same
+        # degree, whose kernel is too large to search: there the search
+        # resumes after the pause.
+        rng = random.Random(92)
+        cases = []
+        for i in range(40):
+            mode = ("cnb", "nb")[i % 2]
+            d = rng.choice((5, 7, 9, 11) if mode == "cnb" else (6, 8, 10))
+            if i % 4 < 2:
+                g = _random_regular(rng.choice((24, 28, 32, 36, 40)), d, rng)
+            else:
+                block = bc.complete(d + 1) if mode == "cnb" else bc.complete_bipartite(d, d)
+                r = rng.choice([r for r in range(d + 1, d + 8) if r * d % 2 == 0])
+                k = rng.randint(max(1, -(-(24 - r) // block.n)), (40 - r) // block.n)
+                parts = [block] * k + [_random_regular(r, d, rng)]
+                rng.shuffle(parts)
+                g = functools.reduce(bc.disjoint_union, parts)
+            cases.append((g, mode, Budget(max_nodes=150)))
+        recs = self._compare(monkeypatch, self._solves, cases)
+        nullities = [r["nullity"] for r in recs if r["nullity"] is not None]
+        assert min(nullities) <= 20 < max(nullities)
 
 
 class TestCensus:
