@@ -160,10 +160,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    try:
-        graphs = list(g6.iter_graph6(_graph6_lines(args.input)))
-    except g6.Graph6Error as exc:
-        raise InputError(str(exc)) from exc
+    graphs = list(g6.iter_graph6(_graph6_lines(args.input)))
     workers = args.workers
     if workers is None:
         raw = os.environ.get(_WORKERS_ENV, "1")

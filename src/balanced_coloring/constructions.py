@@ -4,11 +4,15 @@ Every colorer re-verifies its output before returning; theorem-backed code
 must never hand back an invalid witness, so a verification failure raises
 RuntimeError rather than returning. Characterizations answer yes or no only
 when a known criterion decides the instance and return an explicit unknown
-otherwise, leaving the caller to fall back to the exact solver. A family
-verdict builds its member once and asks the generic certificates (leaf
-bound, degree parity) before the family's own theorems. Colorers of
-products and of the graphs built from them (embeddings, hypercubes) use
-the graph operators of ``graphs`` rather than building rows by hand.
+otherwise, leaving the caller to fall back to the exact solver. Named
+members come only from ``graphs.build_family``, which refuses orders of
+``MAX_ORDER`` or more before allocating rows. A family verdict (also behind
+``characterize_gp``, ``color_gp`` and ``color_hypercube``) builds its
+member once and asks the generic certificates (leaf bound, degree parity)
+before the family's own theorems; ``characterize_circulant`` answers from
+the spec and verifies a witness on ``build_family``'s member. Colorers of
+products and embeddings use the graph operators of ``graphs`` rather than
+building rows by hand.
 """
 
 from __future__ import annotations
@@ -33,11 +37,8 @@ from .graphs import (
     cartesian,
     complement,
     complete,
-    gen_petersen,
-    hypercube,
     join,
     lexicographic,
-    prism,
     spread,
     strong,
 )
@@ -183,7 +184,7 @@ def circulant_constructions(
     on the lengths depending on n mod 8).
     """
     check_mode(mode)
-    g = spec.build()
+    g = build_family("circulant", spec.n, spec.lengths)
     return [(name, checked_output(g, col, mode, f"circulant {name} route"))
             for name, col in _circulant_routes(spec, mode)]
 
@@ -313,10 +314,14 @@ def characterize_circulant(spec: CirculantSpec, mode: Mode = "cnb") -> Character
     complement bridge to the opposite mode, and last the exact spectrum:
     no balanced coloring exists when the balance matrix is nonsingular
     (``linalg.circulant_nullity``). The quintic open case stays unknown.
+    It answers from the spec alone, past the orders a member can be built
+    at, and verifies a witness on ``build_family``'s member.
     """
     check_mode(mode)
     verdict = _circulant_verdict(spec, mode, bridge=True)
-    return verdict if verdict.witness is None else _checked(verdict, spec.build(), mode)
+    if verdict.witness is None:
+        return verdict
+    return _checked(verdict, build_family("circulant", spec.n, spec.lengths), mode)
 
 
 def _circulant_verdict(spec: CirculantSpec, mode: Mode, bridge: bool) -> CharacterizationVerdict:
@@ -383,9 +388,9 @@ def _circulant_verdict(spec: CirculantSpec, mode: Mode, bridge: bool) -> Charact
 
 def characterize_gp(n: int, d: int) -> CharacterizationVerdict:
     """Complete characterization: colorable in closed mode iff the outer
-    cycle is even and the inner step is odd."""
-    g = gen_petersen(n, d)
-    return _checked(_gp_rule(n, d), g, "cnb")
+    cycle is even and the inner step is odd. Answered by
+    characterize_family."""
+    return characterize_family("gp", (n, d), "cnb")
 
 
 def _gp_rule(n: int, d: int) -> CharacterizationVerdict:
@@ -460,7 +465,7 @@ def prism_colorings(n: int) -> list[Coloring]:
     choices of the double-step pattern with opposite copies (bichromatic
     rungs). Sorted by R/B text.
     """
-    g = prism(n)
+    g = build_family("prism", n)
     return [checked_output(g, col, "cnb", "prism coloring") for col in _prism_colorings(n)]
 
 
@@ -488,20 +493,12 @@ def color_hypercube(dim: int) -> tuple[Graph, Coloring]:
     Closed form of the product tower that starts from Q_1 = K2 colored
     red/blue and alternates color_cartesian(K2, RB, Q_{k-1}, .) at odd k
     (the new top bit flips the colors) with color_box_k2(Q_{k-1}, .) at
-    even k (the new low bit copies them): v is red iff v >> dim // 2 has
-    the parity of dim // 2 + dim + 1.
+    even k (the new low bit copies them): v is red iff the popcount of
+    v >> dim // 2 has the parity of dim // 2 + dim + 1. The member and
+    its witness come from the family pipeline (theorem hypercube-parity).
     """
-    g = hypercube(dim)
-    mode: Mode = "cnb" if dim % 2 == 1 else "nb"
-    return g, checked_output(g, _hypercube_coloring(dim), mode, "hypercube coloring")
-
-
-def _hypercube_coloring(dim: int) -> Coloring:
-    h = dim // 2
-    red = (h + dim + 1) % 2
-    return Coloring(
-        1 << dim, sum(1 << v for v in range(1 << dim) if (v >> h).bit_count() % 2 == red)
-    )
+    g, verdict = _family_verdict("hypercube", (dim,), "cnb" if dim % 2 == 1 else "nb")
+    return g, verdict.witness
 
 
 # ---------------------------------------------------------------------------
@@ -597,9 +594,12 @@ def _family_rule(kind: str, params: tuple, mode: Mode) -> CharacterizationVerdic
             f"degree identity fails for rim length {n} (only 3 works)", "wheel-degree-identity"
         )
     if kind == "hypercube":  # the other mode: degree dim has the wrong parity
+        # color_hypercube's closed form of the product tower
+        h, red = n // 2, (n // 2 + n + 1) % 2
+        bits = sum(1 << v for v in range(1 << n) if (v >> h).bit_count() % 2 == red)
         return _yes(
             f"dimension {n} parity matches the product iteration", "hypercube-parity",
-            _hypercube_coloring(n),
+            Coloring(1 << n, bits),
         )
     if kind == "prism":  # nb: 3-regular
         if n % 2 == 0:

@@ -182,7 +182,10 @@ def gen_petersen(n: int, d: int) -> Graph:
     Vertices 0..n-1 form the outer cycle, vertex n+i is the inner partner of
     i; inner edges join n+i to n+((i+d) mod n), spokes join i to n+i.
     """
-    PetersenSpec(n, d)
+    if n < 3:
+        raise FamilyParameterError("outer cycle needs at least three vertices")
+    if not 1 <= d <= (n - 1) // 2:
+        raise FamilyParameterError(f"inner step must lie in 1..{(n - 1) // 2}")
     edges = []
     for i in range(n):
         edges.append((i, (i + 1) % n))
@@ -306,7 +309,8 @@ class CirculantSpec:
 
     def complement_spec(self) -> CirculantSpec:
         """Connection set {1..n//2} minus this one (complement graph)."""
-        rest = tuple(d for d in range(1, self.n // 2 + 1) if d not in set(self.lengths))
+        present = set(self.lengths)
+        rest = tuple(d for d in range(1, self.n // 2 + 1) if d not in present)
         return CirculantSpec(self.n, rest)
 
     def build(self) -> Graph:
@@ -316,25 +320,6 @@ class CirculantSpec:
                 rows[i] |= 1 << ((i + d) % self.n)
                 rows[i] |= 1 << ((i - d) % self.n)
         return Graph._trusted(self.n, tuple(rows))
-
-
-@dataclass(frozen=True, slots=True)
-class PetersenSpec:
-    """Outer cycle length n and inner step d with 1 <= d <= (n-1)//2."""
-
-    n: int
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise FamilyParameterError("outer cycle needs at least three vertices")
-        if not 1 <= self.d <= (self.n - 1) // 2:
-            raise FamilyParameterError(
-                f"inner step must lie in 1..{(self.n - 1) // 2}"
-            )
-
-    def build(self) -> Graph:
-        return gen_petersen(self.n, self.d)
 
 
 # ---------------------------------------------------------------------------

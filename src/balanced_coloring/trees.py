@@ -19,6 +19,7 @@ from .coloring import (
     Coloring, InvalidColoringError, checked_output, leaf_overload, require_valid,
 )
 from .graphs import Graph, _bfs_layers, bits, is_tree
+from .solver import prefilter_reason
 
 
 class NotATreeError(ValueError):
@@ -205,22 +206,21 @@ def _longest_path(adj: Sequence[int], start: int) -> list[int]:
 def decompose_cnbc_tree(t: Graph) -> TreeBuildScript | None:
     """Recognize a closed-balanced tree and emit its build script, or None.
 
-    Rejections: order not 2 mod 4, a vertex carrying more than (deg+1)/2
-    leaves, or any peel step failing. Each step takes a longest path (double
-    BFS), checks that its second vertex has degree 3 with two leaf
-    neighbors, removes those three plus the lowest-id leaf hanging off the
-    third vertex, and records the addition; success means only an edge is
-    left. Raises NotATreeError when the input is not a tree.
+    Rejections: solve's certificates first, ``prefilter_reason`` (for a
+    tree, an even-degree vertex or an order not 2 mod 4) and a vertex
+    carrying more than (deg+1)/2 leaves; then any peel step failing. Each
+    step takes a longest path (double BFS), checks that its second vertex
+    has degree 3 with two leaf neighbors, removes those three plus the
+    lowest-id leaf hanging off the third vertex, and records the addition;
+    success means only an edge is left. Raises NotATreeError when the
+    input is not a tree.
     """
     if not is_tree(t):
         raise NotATreeError(f"input with {t.n} vertices, {t.edge_count} edges")
-    n = t.n
-    if n % 4 != 2:
-        return None
-    if leaf_overload(t, t.degrees()) is not None:
+    if prefilter_reason(t, "cnb") is not None or leaf_overload(t, t.degrees()) is not None:
         return None
     adj = list(t.adj)
-    alive = (1 << n) - 1
+    alive = (1 << t.n) - 1
     steps: list[AdditionStep] = []
     while alive.bit_count() > 2:
         start = (alive & -alive).bit_length() - 1

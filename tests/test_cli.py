@@ -114,6 +114,10 @@ class TestEnumerate:
         data = jline(out)
         assert data["count"] == 2 and data["colorings"] == ["BR", "RB"]
 
+    def test_tsv_is_one_coloring_a_line(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "complete", "2", "--format", "tsv")
+        assert (code, out) == (0, "BR\nRB\n")
+
     def test_cap(self, capsys):
         code, out, _ = run(capsys, "enumerate", "prism", "4", "--cap", "3")
         data = jline(out)
@@ -218,6 +222,13 @@ class TestFamily:
             g = g6.decode(data["graph6"])
             assert bc.verify_cnb(g, bc.Coloring.from_text(data["witness"]))
 
+    def test_solver_fallback_out_of_budget_exits_3(self, capsys):
+        code, out, _ = run(capsys, "family", "circulant", "16", "1,3,8", "--budget-nodes", "1")
+        data = jline(out)
+        assert code == 3
+        assert (data["verdict"], data["reason"]) == ("unknown", "search budget exhausted")
+        assert (data["theorem"], data["witness"], data["provenance"]) == (None, None, "solver")
+
     def test_unknown_bipartite_resolved_by_solver(self, capsys):
         # even-by-even complete bipartite graphs carry no cited criterion,
         # so the solver supplies the witness
@@ -293,6 +304,10 @@ class TestTree:
     def test_check_rejects_p6(self, capsys):
         code, out, _ = run(capsys, "tree", "check", "path", "6")
         assert code == 1 and jline(out)["cnbc_tree"] is False
+
+    def test_decompose_rejects_p6(self, capsys):
+        code, out, _ = run(capsys, "tree", "decompose", "path", "6")
+        assert (code, jline(out)) == (1, {"cnbc_tree": False, "script": None})
 
     def test_non_tree_is_usage_error(self, capsys):
         code, _, err = run(capsys, "tree", "check", "cycle", "4")

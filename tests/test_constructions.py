@@ -507,6 +507,22 @@ class TestFamilyPipeline:
         with pytest.raises(bc.FamilyParameterError):
             bc.characterize_family(kind, params, mode)
 
+    @pytest.mark.parametrize("call", [
+        lambda: bc.color_hypercube(18),
+        lambda: bc.characterize_gp(1 << 17, 1),
+        lambda: bc.color_gp(1 << 17, 1),
+        lambda: bc.prism_colorings(1 << 17),
+        lambda: bc.circulant_constructions(CirculantSpec(1 << 18, (1,)), "nb"),
+    ])
+    def test_entry_points_refuse_oversized_members(self, call):
+        # each member has 2^18 vertices and is refused before its rows exist
+        with pytest.raises(bc.FamilyParameterError, match="262144"):
+            call()
+
+    def test_circulant_no_past_the_bound_needs_no_member(self):
+        verdict = bc.characterize_circulant(CirculantSpec(1 << 18, (1,)), "cnb")
+        assert (verdict.value, verdict.theorem) == ("no", "degree-parity")
+
     def test_generic_certificates_answer_first(self):
         for kind, params in _family_sweep():
             g = bc.build_family(kind, *params)

@@ -192,6 +192,32 @@ class TestSolveStage:
         assert (out.status, out.reason, out.stats.nullity) == ("sat", "search", 2)
         assert out.witness == plain.witness and out.stats.nodes == plain.stats.nodes
 
+    # a 48-vertex cnb graph whose search reaches the linear stage at nullity 13
+    DENSE_48 = (
+        "o??G?A???B??????G???g@?A???O???C???_??O?G?C?_?O??AB??OG??@?o?K???_?K?O_???A???"
+        "H??_??G?GA?C??????GA?AAG???AO?O???B??a?GC???A???@?A??O_????_??GC__??cA???@?_???"
+        "@?G?AG_?C?A@??_?C??G??_??O?A??A?"
+    )
+
+    def test_deadline_inside_the_kernel_search(self):
+        # four K2 on vertices 0-7 beside the 48-vertex graph
+        u = bc.complete(2)
+        for part in [bc.complete(2)] * 3 + [bc.decode(self.DENSE_48)]:
+            u = bc.disjoint_union(u, part)
+        assert u.n == 56
+        # the search checks its deadline every 1024 decisions and pauses
+        # after 64, so the first check to see the deadline is the sign
+        # search's, at its 1024th choice
+        for budget, expect in (
+            (Budget(max_millis=0.001), ("timeout", "budget", 64, 353, 13, 1024)),
+            (None, ("unsat", "kernel", 64, 353, 13, 1535)),
+        ):
+            out = bc.solve(u, "cnb", budget)
+            s = out.stats
+            got = (out.status, out.reason, s.nodes, s.propagations, s.nullity,
+                   s.kernel_candidates)
+            assert got == expect
+
     def test_as_dict_appends_keys(self):
         d = bc.solve(bc.cycle(8), "nb").as_dict()
         assert list(d) == ["status", "witness", "nodes", "propagations", "millis",
