@@ -306,18 +306,20 @@ class LinearVerdict:
 
 
 def kernel_verdict(
-    g: Graph, mode: Mode, max_nullity: int | None = None, deadline: float = math.inf
+    g: Graph, mode: Mode, max_nullity: int | None = None, deadline: float = math.inf,
+    form: tuple[list[int], list[int]] | None = None,
 ) -> LinearVerdict:
     """Decide g in the given mode from the mod-P echelon form of its
     balance matrix: unsat at nullity 0, otherwise (when the nullity is at
     most max_nullity, or always when it is None) by the sign search over
     the kernel, verifying each candidate exactly. ``deadline`` is a
-    time.monotonic() value."""
+    time.monotonic() value. ``form`` is that balance matrix's ``echelon``
+    when the caller already has it; otherwise it is computed here."""
     check_mode(mode)
     n = g.n
     if n == 0:  # the empty coloring
         return LinearVerdict("sat", 0, 0, 0)
-    pivots, tails = echelon(_balance_rows(g, mode), n)
+    pivots, tails = form if form is not None else echelon(_balance_rows(g, mode), n)
     nullity = n - len(pivots)
     if nullity == 0:
         return LinearVerdict("unsat", 0)

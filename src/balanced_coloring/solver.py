@@ -35,11 +35,15 @@ validity. Enumeration picks the lowest unassigned vertex, blue first, never
 breaks symmetry, and so emits colorings in lexicographic order of their R/B
 text.
 
-Decision runs an exact linear stage (``linalg``) once the search has used
-an allowance of decisions without an answer: the rank of the balance
-matrix modulo a large prime, then a sign search over its kernel when the
-nullity is small. Inputs the search answers within the allowance never
-reach it, so their witnesses are the search's.
+Decision pauses twice for an exact linear stage (``linalg``), which
+row-reduces the balance matrix modulo a large prime once, at the first
+pause, and reads that echelon form at both. The first pause, after a few
+decisions without an answer, decides only nullity 0 (no coloring) and
+nullity 1 (a sign search over the kernel); the second, once the search has
+used its whole allowance, searches the signs of any small kernel. A larger
+nullity resumes the search where it stopped. Inputs the search answers
+before the first pause never reach the stage, so their witnesses are the
+search's; ``solve`` shows why the first pause changes no witness either.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ import itertools
 import os
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal, Sequence
 
 from .coloring import (
     Coloring, Mode, _balance_rows, _twin_groups, check_mode, checked_output, leaf_overload,
@@ -61,8 +65,10 @@ if TYPE_CHECKING:
 
 DEFAULT_MAX_NODES = 100_000_000
 DEFAULT_MAX_MILLIS = 60_000.0
-# decisions the search makes before the linear stage runs, the largest
-# order it runs on, and the largest nullity whose kernel it searches
+# decisions the search makes before the linear stage decides nullity at
+# most 1, and before it searches any kernel of nullity up to
+# _KERNEL_MAX_NULLITY; the largest order it runs on
+_RANK_PAUSE = 16
 _SEARCH_ALLOWANCE = 64
 _LINEAR_MAX_ORDER = 64
 _KERNEL_MAX_NULLITY = 20
@@ -77,8 +83,8 @@ class Budget:
 @dataclass(frozen=True)
 class SolveStats:
     """Search decisions and forced assignments, wall time, and for the
-    linear stage (when it ran) the nullity of the balance matrix and the
-    sign choices of its kernel search."""
+    linear stage the nullity of the balance matrix (once its echelon form
+    is computed) and the sign choices of its kernel search."""
 
     nodes: int
     propagations: int
@@ -128,7 +134,11 @@ def prefilter_reason(g: Graph, mode: Mode) -> str | None:
     cnb needs every degree odd (hence an even order) and ties the edge-count
     parity to the order mod 4; nb needs every degree even.
     """
-    degs = g.degrees()
+    return _prefilter(g, mode, g.degrees())
+
+
+def _prefilter(g: Graph, mode: Mode, degs: Sequence[int]) -> str | None:
+    """prefilter_reason, given g's degree sequence."""
     if mode == "cnb":
         if g.n % 2 == 1:
             return "odd vertex count"
@@ -359,16 +369,19 @@ class _Search:
 
     def full_assignments(
         self, pick: Callable[[], int], colors: tuple[int, int], deadline: float,
-        max_nodes: float, pause: int = 0,
+        max_nodes: float, pauses: tuple[int, ...] = (),
     ) -> Iterator[int]:
         """Red mask of each full assignment, depth first: branch on pick()
         (-1 once all are assigned), trying colors in order; the stack holds
         (vertex, next color index, trail mark). Each branch is one decision;
         passing max_nodes of them, or the deadline (checked every 1024),
-        raises _LimitExceeded. At decision number ``pause`` (0: never) it
-        yields -1 once; resuming continues exactly where it stopped."""
+        raises _LimitExceeded. At each decision number in ``pauses`` (in
+        increasing order; a repeat is one pause) it yields -1 once; resuming
+        continues exactly where it stopped."""
         stack: list[tuple[int, int, int]] = []
         ok = True
+        later = iter(pauses)
+        pause = next(later, 0)
         while True:
             if ok:
                 v = pick()
@@ -382,6 +395,7 @@ class _Search:
                         raise _LimitExceeded
                     if self.decisions == pause:
                         yield -1
+                        pause = next(later, 0)
                     stack.append((v, 0, len(self.trail)))
             if not stack:
                 return
@@ -413,10 +427,11 @@ def _open_search(g: Graph, mode: Mode) -> tuple[_Search | None, str]:
     """A fresh search over g, or None and the reason when the prefilter or
     the leaf bound (the one contradiction the forced classes can hold)
     already rules out every coloring."""
-    why = prefilter_reason(g, mode)
+    degs = g.degrees()
+    why = _prefilter(g, mode, degs)
     if why is not None:
         return None, f"prefilter:{why}"
-    if mode == "cnb" and leaf_overload(g, g.degrees()) is not None:
+    if mode == "cnb" and leaf_overload(g, degs) is not None:
         return None, "forced-classes"
     return _Search(g, mode), ""
 
@@ -428,12 +443,23 @@ def solve(g: Graph, mode: Mode = "cnb", budget: Budget | None = None) -> SolveOu
     exhaustive; exceeding the node or wall-clock budget yields status timeout
     and never a partial witness. Deterministic for fixed inputs.
 
-    Once the search has made _SEARCH_ALLOWANCE decisions without an answer,
-    and when the node budget allows more and g has at most
-    _LINEAR_MAX_ORDER vertices, the linear stage runs: nullity 0 is unsat
-    (reason ``rank``); nullity up to _KERNEL_MAX_NULLITY is decided by the
-    kernel sign search (reason ``kernel``), whose witness has vertex 0 red;
-    a larger nullity resumes the search with the budget that remains.
+    When the node budget exceeds _SEARCH_ALLOWANCE and g has at most
+    _LINEAR_MAX_ORDER vertices, the search pauses twice for the linear
+    stage. At decision _RANK_PAUSE, M's echelon form modulo p is computed,
+    once per solve: nullity 0 is unsat (reason ``rank``), and nullity 1 is
+    decided by the kernel sign search (reason ``kernel``). A larger nullity
+    resumes the search exactly where it stopped. At decision
+    _SEARCH_ALLOWANCE the same echelon form decides any nullity up to
+    _KERNEL_MAX_NULLITY by the sign search; a larger one resumes the search
+    with the budget that remains. A kernel witness has vertex 0 red.
+
+    The first pause changes no status and no witness, only the reason and
+    the counters. The mod-p nullity is at least the rational nullity, so at
+    nullity at most 1 the balanced colorings, as +-1 vectors in the rational
+    kernel, are at most one pair c, -c. The search fixes vertex 0 red, so
+    any witness it would find later is the one of c and -c with vertex 0
+    red, which is the kernel's witness; and if the kernel has none, the
+    search has none to find.
     """
     mode = check_mode(mode)
     if budget is None:
@@ -446,21 +472,25 @@ def solve(g: Graph, mode: Mode = "cnb", budget: Budget | None = None) -> SolveOu
         return SolveOutcome("unsat", None, _stats(search, t0))
     deadline = time.monotonic() + budget.max_millis / 1000.0
     linear = budget.max_nodes > _SEARCH_ALLOWANCE and g.n <= _LINEAR_MAX_ORDER
-    runs = search.full_assignments(
-        search._pick, (1, 0), deadline, budget.max_nodes,
-        _SEARCH_ALLOWANCE if linear else 0,
-    )
-    lin = None
+    pauses = (min(_RANK_PAUSE, _SEARCH_ALLOWANCE), _SEARCH_ALLOWANCE) if linear else ()
+    runs = search.full_assignments(search._pick, (1, 0), deadline, budget.max_nodes, pauses)
+    lin = form = None
     try:
         red = next(runs, None)
-        if red == -1:
-            # imported here, on first use: few solves get this far, and every
-            # module imported at start-up adds to each CLI launch
-            from . import linalg
+        while red == -1:
+            if form is None:
+                # imported here, on first use: few solves get this far, and
+                # every module imported at start-up adds to each CLI launch
+                from . import linalg
 
-            lin = linalg.kernel_verdict(g, mode, _KERNEL_MAX_NULLITY, deadline)
-            if lin.status == "deferred":
-                red = next(runs, None)
+                form = linalg.echelon(search.rows, g.n)
+            # before the allowance only nullity <= 1, where the kernel's
+            # witness is the one the search would find
+            cap = _KERNEL_MAX_NULLITY if search.decisions >= _SEARCH_ALLOWANCE else 1
+            lin = linalg.kernel_verdict(g, mode, cap, deadline, form)
+            if lin.status != "deferred":
+                break
+            red = next(runs, None)
     except _LimitExceeded:
         return SolveOutcome("timeout", None, _stats(search, t0, lin), "budget")
     if lin is None or lin.status == "deferred":

@@ -19,7 +19,7 @@ from .coloring import (
     Coloring, InvalidColoringError, checked_output, leaf_overload, require_valid,
 )
 from .graphs import Graph, _bfs_layers, bits, is_tree
-from .solver import prefilter_reason
+from .solver import _prefilter
 
 
 class NotATreeError(ValueError):
@@ -217,7 +217,8 @@ def decompose_cnbc_tree(t: Graph) -> TreeBuildScript | None:
     """
     if not is_tree(t):
         raise NotATreeError(f"input with {t.n} vertices, {t.edge_count} edges")
-    if prefilter_reason(t, "cnb") is not None or leaf_overload(t, t.degrees()) is not None:
+    degs = t.degrees()
+    if _prefilter(t, "cnb", degs) is not None or leaf_overload(t, degs) is not None:
         return None
     adj = list(t.adj)
     alive = (1 << t.n) - 1

@@ -307,16 +307,19 @@ class RefSearch:
 
     def full_assignments(
         self, pick: Callable[[], int], colors: tuple[int, int], deadline: float,
-        max_nodes: float, pause: int = 0,
+        max_nodes: float, pauses: tuple[int, ...] = (),
     ) -> Iterator[int]:
         """Red mask of each full assignment, depth first: branch on pick()
         (-1 once all are assigned), trying colors in order; the stack holds
         (vertex, next color index, trail mark). Each branch is one decision;
         passing max_nodes of them, or the deadline (checked every 1024),
-        raises _LimitExceeded. At decision number ``pause`` (0: never) it
-        yields -1 once; resuming continues exactly where it stopped."""
+        raises _LimitExceeded. At each decision number in ``pauses`` (in
+        increasing order; a repeat is one pause) it yields -1 once; resuming
+        continues exactly where it stopped."""
         stack: list[tuple[int, int, int]] = []
         ok = True
+        later = iter(pauses)
+        pause = next(later, 0)
         while True:
             if ok:
                 v = pick()
@@ -330,6 +333,7 @@ class RefSearch:
                         raise _LimitExceeded
                     if self.decisions == pause:
                         yield -1
+                        pause = next(later, 0)
                     stack.append((v, 0, len(self.trail)))
             if not stack:
                 return

@@ -285,19 +285,37 @@ def _random_regular(n, d, rng):
     return bc.Graph.from_edges(n, edges)
 
 
+def _solve_records(cases):
+    """solve's as_dict for each (graph, mode, budget), without the time."""
+    out = []
+    for g, mode, budget in cases:
+        rec = bc.solve(g, mode, budget).as_dict()
+        del rec["millis"]
+        out.append(rec)
+    return out
+
+
+def _regular_instance(i, rng):
+    """The i-th of a seeded mix of regular graphs of order 24-40 and their
+    mode (cnb for even i): for i % 4 < 2 one random regular graph, else one
+    random regular block beside complete (cnb) or complete bipartite (nb)
+    blocks of the same degree, whose kernel is large."""
+    mode = ("cnb", "nb")[i % 2]
+    d = rng.choice((5, 7, 9, 11) if mode == "cnb" else (6, 8, 10))
+    if i % 4 < 2:
+        return _random_regular(rng.choice((24, 28, 32, 36, 40)), d, rng), mode
+    block = bc.complete(d + 1) if mode == "cnb" else bc.complete_bipartite(d, d)
+    r = rng.choice([r for r in range(d + 1, d + 8) if r * d % 2 == 0])
+    k = rng.randint(max(1, -(-(24 - r) // block.n)), (40 - r) // block.n)
+    parts = [block] * k + [_random_regular(r, d, rng)]
+    rng.shuffle(parts)
+    return functools.reduce(bc.disjoint_union, parts), mode
+
+
 class TestAgainstReferenceSearch:
     """The bit-sliced search core against the counter-list core it replaced
     (conftest.RefSearch): the same verdicts, witnesses, reasons, counters
     and enumeration order, case by case."""
-
-    @staticmethod
-    def _solves(cases):
-        out = []
-        for g, mode, budget in cases:
-            rec = bc.solve(g, mode, budget).as_dict()
-            del rec["millis"]
-            out.append(rec)
-        return out
 
     @staticmethod
     def _enumerations(cases):
@@ -321,7 +339,7 @@ class TestAgainstReferenceSearch:
     def test_labeled_graphs_solve(self, monkeypatch):
         cases = [(g, mode, None) for n in range(7) for g in bc.all_labeled_graphs(n)
                  for mode in ("cnb", "nb")]
-        self._compare(monkeypatch, self._solves, cases)
+        self._compare(monkeypatch, _solve_records, cases)
 
     def test_labeled_graphs_enumerate(self, monkeypatch):
         cases = [(g, mode) for n in range(6) for g in bc.all_labeled_graphs(n)
@@ -336,7 +354,7 @@ class TestAgainstReferenceSearch:
             for mode in ("cnb", "nb"):
                 h = _fit_parities(g, mode, rng) if i % 4 else g
                 cases += [(h, mode, Budget(max_nodes=k)) for k in (10, 150, 1_000)]
-        recs = self._compare(monkeypatch, self._solves, cases)
+        recs = self._compare(monkeypatch, _solve_records, cases)
         assert {r["status"] for r in recs} == {"sat", "unsat", "timeout"}
 
     def test_regular_graphs_through_the_linear_stage(self, monkeypatch):
@@ -346,23 +364,69 @@ class TestAgainstReferenceSearch:
         # degree, whose kernel is too large to search: there the search
         # resumes after the pause.
         rng = random.Random(92)
-        cases = []
-        for i in range(40):
-            mode = ("cnb", "nb")[i % 2]
-            d = rng.choice((5, 7, 9, 11) if mode == "cnb" else (6, 8, 10))
-            if i % 4 < 2:
-                g = _random_regular(rng.choice((24, 28, 32, 36, 40)), d, rng)
-            else:
-                block = bc.complete(d + 1) if mode == "cnb" else bc.complete_bipartite(d, d)
-                r = rng.choice([r for r in range(d + 1, d + 8) if r * d % 2 == 0])
-                k = rng.randint(max(1, -(-(24 - r) // block.n)), (40 - r) // block.n)
-                parts = [block] * k + [_random_regular(r, d, rng)]
-                rng.shuffle(parts)
-                g = functools.reduce(bc.disjoint_union, parts)
-            cases.append((g, mode, Budget(max_nodes=150)))
-        recs = self._compare(monkeypatch, self._solves, cases)
+        cases = [(*_regular_instance(i, rng), Budget(max_nodes=150)) for i in range(40)]
+        recs = self._compare(monkeypatch, _solve_records, cases)
         nullities = [r["nullity"] for r in recs if r["nullity"] is not None]
         assert min(nullities) <= 20 < max(nullities)
+
+
+class TestRankPause:
+    """The schedule that decides nullity at most 1 at _RANK_PAUSE against
+    the one that waits for _SEARCH_ALLOWANCE (the early pause moved onto
+    the late one): the same statuses and witnesses, and a reason changes
+    only from ``search`` to ``rank`` or ``kernel`` at nullity at most 1."""
+
+    @staticmethod
+    def _both(monkeypatch, cases):
+        new = _solve_records(cases)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_RANK_PAUSE", solver._SEARCH_ALLOWANCE)
+            old = _solve_records(cases)
+        changed = 0
+        for case, a, b in zip(cases, old, new):
+            where = (case[0].n, list(case[0].edges()), case[1:])
+            assert (a["status"], a["witness"]) == (b["status"], b["witness"]), where
+            if a["reason"] != b["reason"]:
+                assert a["reason"] == "search", where
+                assert b["reason"] in ("rank", "kernel") and b["nullity"] <= 1, where
+                changed += 1
+        return new, changed
+
+    def test_labeled_graphs(self, monkeypatch):
+        cases = [(g, mode, None) for n in range(7) for g in bc.all_labeled_graphs(n)
+                 for mode in ("cnb", "nb")]
+        self._both(monkeypatch, cases)
+
+    def test_random_regular_graphs_at_four_budgets(self, monkeypatch):
+        rng = random.Random(93)
+        cases = [(g, mode, Budget(max_nodes=k)) for i in range(40)
+                 for g, mode in [_regular_instance(i, rng)] for k in (65, 100, 150, 1_000)]
+        recs, changed = self._both(monkeypatch, cases)
+        assert changed > 0
+        # some graphs answer at the first pause, others resume past it
+        assert {r["nodes"] for r in recs if r["reason"] in ("rank", "kernel")} >= {16, 64}
+
+    # a planted 36-vertex 7-regular cnb graph: random regular red and blue
+    # blocks joined by a random regular bipartite graph, relabeled
+    PLANTED_36 = (
+        "cI_aK?GCGW??_O_GaC??qGOEA??G@?AJ?@_CAaC_OOLQ@WCGD?CD@I?w?@b?XC?G?l?GCsOM?B?C?"
+        "EB?Ya?@H?`_G?d_?c_a@EP??Obo?O"
+    )
+
+    def test_nullity_one_answers_at_the_rank_pause(self, monkeypatch):
+        g = bc.decode(self.PLANTED_36)
+        witness = "RBRBBRBBBRRBBBRRBRBRBBBRRBRRRBRBRBRR"
+        out = bc.solve(g, "cnb")
+        s = out.stats
+        assert (out.status, out.reason, s.nodes, s.nullity, s.kernel_candidates) == \
+            ("sat", "kernel", 16, 1, 1)
+        assert out.witness.to_text() == witness
+        monkeypatch.setattr(solver, "_RANK_PAUSE", solver._SEARCH_ALLOWANCE)
+        out = bc.solve(g, "cnb")
+        s = out.stats
+        assert (out.status, out.reason, s.nodes, s.nullity, s.kernel_candidates) == \
+            ("sat", "kernel", 64, 1, 1)
+        assert out.witness.to_text() == witness
 
 
 class TestCensus:
