@@ -95,7 +95,7 @@ def _load_graph(args) -> Graph:
 
 
 def _budget(args) -> Budget:
-    if args.budget_nodes < 1 or args.budget_ms <= 0:
+    if args.budget_nodes < 1 or not args.budget_ms > 0:  # NaN too
         raise InputError("budgets must be positive")
     return Budget(max_nodes=args.budget_nodes, max_millis=args.budget_ms)
 

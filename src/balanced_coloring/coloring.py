@@ -1,5 +1,6 @@
 """Red/blue colorings: balance verification, edge statistics, counting
-identities, and the forced-color constraints that seed the solver.
+identities, the forced-color constraints that seed the solver, and the one
+lazy chain of generic certificates (degree parities, the leaf bound).
 
 A coloring is one bit per vertex (set = red). The per-vertex residual is the
 signed count red-minus-blue over the relevant neighborhood, closed for cnb
@@ -10,7 +11,7 @@ Residuals stay signed so search code can prune on bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .graphs import Graph, bits
 
@@ -229,14 +230,6 @@ NOT_APPLICABLE = None
 IdentityResult = tuple[str, "bool | None"]
 
 
-def _regularity(g: Graph) -> int | None:
-    degs = g.degrees()
-    if g.n == 0:
-        return 0
-    r = degs[0]
-    return r if all(d == r for d in degs) else None
-
-
 def check_identities(
     g: Graph, c: Coloring, mode: Mode, strict: bool = False
 ) -> list[IdentityResult]:
@@ -250,8 +243,10 @@ def check_identities(
     require_valid(g, c, mode, "coloring")
     rep = report(g, c)
     n = g.n
-    m = g.edge_count
-    r = _regularity(g)
+    degs = g.degrees()
+    m = sum(degs) // 2
+    # the common degree when g is regular (0 when it has no vertices)
+    r = max(degs, default=0) if len(set(degs)) <= 1 else None
     results: list[IdentityResult] = []
 
     if mode == "cnb":
@@ -272,7 +267,6 @@ def check_identities(
                 n % 4 == 0 if m % 2 == 0 else n % 4 == 2,
             )
         )
-        degs = g.degrees()
         red_deg3 = sum(1 for v in bits(c.bits) if degs[v] % 4 == 3)
         blue_deg3 = sum(
             1 for v in range(n) if not (c.bits >> v) & 1 and degs[v] % 4 == 3
@@ -373,6 +367,50 @@ def leaf_force(g: Graph, mode: Mode) -> ForcedConstraints:
                 opposite.append((v, nbr))
         infeasible = leaf_overload(g, degs)
     return ForcedConstraints(tuple(same), tuple(opposite), infeasible)
+
+
+def prefilter_reason(g: Graph, mode: Mode) -> str | None:
+    """Cheap certificates that no balanced coloring exists, or None.
+
+    cnb needs every degree odd (hence an even order) and ties the edge-count
+    parity to the order mod 4; nb needs every degree even.
+    """
+    if mode == "cnb" and g.n % 2 == 1:
+        return "odd vertex count"
+    return _degree_parity(g.n, g.degrees(), mode)
+
+
+def _degree_parity(n: int, degs: Sequence[int], mode: Mode) -> str | None:
+    """prefilter_reason past the odd-order test, given the degree sequence."""
+    if mode == "nb":
+        return next((f"vertex {v} has odd degree {d}" for v, d in enumerate(degs) if d % 2), None)
+    for v, d in enumerate(degs):
+        if d % 2 == 0:
+            return f"vertex {v} has even degree {d}"
+    m = sum(degs) // 2
+    if m % 2 == 0 and n % 4 != 0:
+        return f"{m} edges (even) with order {n} not divisible by 4"
+    if m % 2 == 1 and n % 4 != 2:
+        return f"{m} edges (odd) with order {n} not 2 mod 4"
+    return None
+
+
+def _certificates(g: Graph, mode: Mode) -> Iterator[tuple[str, str]]:
+    """Every generic proof that g has no balanced coloring, as (theorem,
+    reason) pairs, lazily and cheapest first: prefilter_reason's
+    (``degree-parity``; an odd cnb order needs no degrees), then in cnb
+    leaf_overload's (``leaf-bound``), both from one degree pass."""
+    odd = mode == "cnb" and g.n % 2 == 1
+    if odd:
+        yield "degree-parity", "odd vertex count"
+    degs = g.degrees()
+    why = None if odd else _degree_parity(g.n, degs, mode)
+    if why is not None:
+        yield "degree-parity", why
+    if mode == "cnb":
+        why = leaf_overload(g, degs)
+        if why is not None:
+            yield "leaf-bound", why
 
 
 def leaf_overload(g: Graph, degs: Sequence[int]) -> str | None:

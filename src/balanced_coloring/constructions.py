@@ -8,7 +8,8 @@ otherwise, leaving the caller to fall back to the exact solver. Named
 members come only from ``graphs.build_family``, which refuses orders of
 ``MAX_ORDER`` or more before allocating rows. A family verdict (also behind
 ``characterize_gp``, ``color_gp`` and ``color_hypercube``) builds its
-member once and asks the generic certificates (leaf bound, degree parity)
+member once and asks the generic certificates of ``coloring``, the chain
+``solve`` reads too (reporting the leaf bound ahead of degree parity),
 before the family's own theorems; ``characterize_circulant`` answers from
 the spec and verifies a witness on ``build_family``'s member. Colorers of
 products and embeddings use the graph operators of ``graphs`` rather than
@@ -24,9 +25,9 @@ from .coloring import (
     Coloring,
     Mode,
     UnbalancedColoringError,
+    _certificates,
     check_mode,
     checked_output,
-    leaf_overload,
     require_valid,
 )
 from .graphs import (
@@ -42,7 +43,6 @@ from .graphs import (
     spread,
     strong,
 )
-from .solver import prefilter_reason
 
 
 # circulant_nullity takes at most about 50 ms up to this order; past it the
@@ -528,13 +528,11 @@ def _family_verdict(
     """The member characterize_family builds, with its verdict."""
     check_mode(mode)
     g = build_family(kind, *params)
-    if mode == "cnb":
-        why = leaf_overload(g, g.degrees())
-        if why is not None:
-            return g, _no(why, "leaf-bound")
-    why = prefilter_reason(g, mode)
-    if why is not None:
-        return g, _no(why, "degree-parity")
+    # the leaf bound, last in the chain when it holds, is reported first
+    certificates = list(_certificates(g, mode))
+    if certificates:
+        theorem, why = certificates[-1]
+        return g, _no(why, theorem)
     return g, _checked(_family_rule(kind, params, mode), g, mode)
 
 

@@ -2,8 +2,9 @@
 
 A coloring is balanced when every row u of the balance matrix M (closed
 neighborhoods for cnb, open ones for nb) holds h_u = |row u| / 2 red and
-h_u blue vertices; the prefilter leaves every row even. The search keeps two
-capacities per vertex: RC_u, h_u less the red vertices assigned in row u,
+h_u blue vertices; ``coloring``'s certificates answer first, and past their
+degree parities every row is even. The search keeps two capacities per
+vertex: RC_u, h_u less the red vertices assigned in row u,
 and BC_u, the same for blue. They are bit-sliced: plane k of ``rc`` is the
 mask of the vertices whose RC has bit k set (likewise ``bc``; the count of
 planes is the bit length of the largest h), so one assignment updates all
@@ -53,10 +54,10 @@ import itertools
 import os
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal
 
 from .coloring import (
-    Coloring, Mode, _balance_rows, _twin_groups, check_mode, checked_output, leaf_overload,
+    Coloring, Mode, _balance_rows, _certificates, _twin_groups, check_mode, checked_output,
 )
 from .graphs import Graph
 
@@ -128,35 +129,6 @@ class _LimitExceeded(Exception):
     pass
 
 
-def prefilter_reason(g: Graph, mode: Mode) -> str | None:
-    """Cheap certificates that no balanced coloring exists, or None.
-
-    cnb needs every degree odd (hence an even order) and ties the edge-count
-    parity to the order mod 4; nb needs every degree even.
-    """
-    return _prefilter(g, mode, g.degrees())
-
-
-def _prefilter(g: Graph, mode: Mode, degs: Sequence[int]) -> str | None:
-    """prefilter_reason, given g's degree sequence."""
-    if mode == "cnb":
-        if g.n % 2 == 1:
-            return "odd vertex count"
-        for v, d in enumerate(degs):
-            if d % 2 == 0:
-                return f"vertex {v} has even degree {d}"
-        m = g.edge_count
-        if m % 2 == 0 and g.n % 4 != 0:
-            return f"{m} edges (even) with order {g.n} not divisible by 4"
-        if m % 2 == 1 and g.n % 4 != 2:
-            return f"{m} edges (odd) with order {g.n} not 2 mod 4"
-    else:
-        for v, d in enumerate(degs):
-            if d % 2 == 1:
-                return f"vertex {v} has odd degree {d}"
-    return None
-
-
 class _Search:
     """One search instance over a fixed graph and mode."""
 
@@ -183,7 +155,7 @@ class _Search:
         self.n = n
         rows = _balance_rows(g, mode)
         self.rows = rows
-        # the prefilter leaves every row even; h = |row| / 2 starts both
+        # the degree parities leave every row even; h = |row| / 2 starts both
         # capacities, held as planes (plane k: the vertices whose h has bit
         # k), each parsed from binary text in time linear in n
         hs = [r.bit_count() >> 1 for r in rows]
@@ -206,7 +178,7 @@ class _Search:
         # group, which joins that vertex's own class with the opposite
         # color. The vertex has no twin (a twin would also be adjacent to
         # the leaves), so classes never collide, and the only contradiction
-        # is leaf_overload, which _open_search checks. A K2 component is
+        # is leaf_overload, which solve checks first. A K2 component is
         # joined once, from its lower end.
         groups = _twin_groups(rows)
         class_of = [0] * n
@@ -423,19 +395,6 @@ def _stats(search: _Search | None, t0: float, lin: LinearVerdict | None = None
     )
 
 
-def _open_search(g: Graph, mode: Mode) -> tuple[_Search | None, str]:
-    """A fresh search over g, or None and the reason when the prefilter or
-    the leaf bound (the one contradiction the forced classes can hold)
-    already rules out every coloring."""
-    degs = g.degrees()
-    why = _prefilter(g, mode, degs)
-    if why is not None:
-        return None, f"prefilter:{why}"
-    if mode == "cnb" and leaf_overload(g, degs) is not None:
-        return None, "forced-classes"
-    return _Search(g, mode), ""
-
-
 def solve(g: Graph, mode: Mode = "cnb", budget: Budget | None = None) -> SolveOutcome:
     """Decide whether g has a balanced coloring in the given mode.
 
@@ -465,9 +424,11 @@ def solve(g: Graph, mode: Mode = "cnb", budget: Budget | None = None) -> SolveOu
     if budget is None:
         budget = Budget()
     t0 = time.perf_counter()
-    search, why = _open_search(g, mode)
-    if search is None:
-        return SolveOutcome("unsat", None, _stats(search, t0), why)
+    # the first generic certificate, if one holds, answers
+    for theorem, why in _certificates(g, mode):
+        reason = "forced-classes" if theorem == "leaf-bound" else f"prefilter:{why}"
+        return SolveOutcome("unsat", None, _stats(None, t0), reason)
+    search = _Search(g, mode)
     if g.n and not search._request([(0, 1)]):
         return SolveOutcome("unsat", None, _stats(search, t0))
     deadline = time.monotonic() + budget.max_millis / 1000.0
@@ -523,9 +484,9 @@ def enumerate_colorings(
     if cap is not None and cap < 1:
         raise ValueError("cap must be positive (or None for no cap)")
     t0 = time.perf_counter()
-    search, _why = _open_search(g, mode)
-    if search is None:
-        return EnumerationOutcome((), False, _stats(search, t0))
+    if next(_certificates(g, mode), None) is not None:
+        return EnumerationOutcome((), False, _stats(None, t0))
+    search = _Search(g, mode)
     deadline = time.monotonic() + DEFAULT_MAX_MILLIS / 1000.0
     runs = search.full_assignments(search._lowest, (0, 1), deadline, DEFAULT_MAX_NODES)
     masks: list[int] = []

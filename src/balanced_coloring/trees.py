@@ -16,10 +16,9 @@ from itertools import product as _iproduct
 from typing import Iterator, Sequence
 
 from .coloring import (
-    Coloring, InvalidColoringError, checked_output, leaf_overload, require_valid,
+    Coloring, InvalidColoringError, _certificates, checked_output, require_valid,
 )
-from .graphs import Graph, _bfs_layers, bits, is_tree
-from .solver import _prefilter
+from .graphs import MAX_ORDER, Graph, _bfs_layers, bits, is_tree
 
 
 class NotATreeError(ValueError):
@@ -154,8 +153,11 @@ def replay(script: TreeBuildScript) -> tuple[Graph, Coloring]:
 
     The base edge gets red on its lower vertex; each step then colors its
     new vertices by the addition rule. The final vertex set must be exactly
-    0..n-1; anything structurally inconsistent raises MalformedScriptError.
+    0..n-1; anything structurally inconsistent raises MalformedScriptError,
+    and so does a script for MAX_ORDER or more vertices, before any step.
     """
+    if 2 + 4 * len(script.steps) >= MAX_ORDER:
+        raise MalformedScriptError(f"a script must build fewer than {MAX_ORDER} vertices")
     a, b = script.base
     if a == b or a < 0 or b < 0:
         raise MalformedScriptError("base must be two distinct non-negative vertices")
@@ -206,9 +208,9 @@ def _longest_path(adj: Sequence[int], start: int) -> list[int]:
 def decompose_cnbc_tree(t: Graph) -> TreeBuildScript | None:
     """Recognize a closed-balanced tree and emit its build script, or None.
 
-    Rejections: solve's certificates first, ``prefilter_reason`` (for a
-    tree, an even-degree vertex or an order not 2 mod 4) and a vertex
-    carrying more than (deg+1)/2 leaves; then any peel step failing. Each
+    Rejections: the first of solve's certificates (``_certificates``: for
+    a tree, an even-degree vertex or an order not 2 mod 4, then a vertex
+    carrying more than (deg+1)/2 leaves); then any peel step failing. Each
     step takes a longest path (double BFS), checks that its second vertex
     has degree 3 with two leaf neighbors, removes those three plus the
     lowest-id leaf hanging off the third vertex, and records the addition;
@@ -217,8 +219,7 @@ def decompose_cnbc_tree(t: Graph) -> TreeBuildScript | None:
     """
     if not is_tree(t):
         raise NotATreeError(f"input with {t.n} vertices, {t.edge_count} edges")
-    degs = t.degrees()
-    if _prefilter(t, "cnb", degs) is not None or leaf_overload(t, degs) is not None:
+    if next(_certificates(t, "cnb"), None) is not None:
         return None
     adj = list(t.adj)
     alive = (1 << t.n) - 1

@@ -205,7 +205,7 @@ class RefSearch:
         # group, which joins that vertex's own class with the opposite
         # color. The vertex has no twin (a twin would also be adjacent to
         # the leaves), so classes never collide, and the only contradiction
-        # is leaf_overload, which _open_search checks. A K2 component is
+        # is leaf_overload, which solve checks first. A K2 component is
         # joined once, from its lower end.
         groups = _twin_groups(rows)
         class_of = [0] * n

@@ -83,6 +83,19 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "gp", "8", "3", "--budget-nodes", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["solve", "census"])
+    def test_nan_budget_is_refused(self, capsys, tmp_path, command):
+        # a NaN deadline would never pass, silently lifting the time budget
+        p = tmp_path / "g.g6"
+        p.write_text(g6.encode(bc.complete(4)) + "\n")
+        code, out, err = run(capsys, command, "--input", str(p), "--budget-ms", "nan")
+        assert (code, out) == (2, "")
+        assert "budgets must be positive" in err
+
+    def test_infinite_budget_is_allowed(self, capsys):
+        code, out, _ = run(capsys, "solve", "gp", "8", "3", "--budget-ms", "inf")
+        assert code == 0 and jline(out)["status"] == "sat"
+
     def test_graph6_input(self, capsys, tmp_path):
         p = tmp_path / "g.g6"
         p.write_text(g6.encode(bc.complete(4)) + "\n")
@@ -340,6 +353,15 @@ class TestTree:
         code, out, err = run(capsys, "tree", "replay", "--script", str(sp))
         assert code == 2 and out == ""
         assert err.startswith("error: ")
+
+    def test_replay_past_the_order_bound_is_usage_error(self, capsys, tmp_path):
+        # 65,536 steps would build 2 + 4 * 65,536 = 262,146 vertices
+        step = {"z": 0, "v": 2, "x": 3, "w1": 4, "w2": 5}
+        sp = tmp_path / "script.json"
+        sp.write_text(json.dumps({"steps": [step] * 65_536}))
+        code, out, err = run(capsys, "tree", "replay", "--script", str(sp))
+        assert (code, out) == (2, "")
+        assert "262144" in err
 
 
 class TestBrokenPipe:

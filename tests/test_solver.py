@@ -1,7 +1,9 @@
 """Exact search: soundness, completeness against brute force, determinism,
 enumeration order, budgets, and the census stream."""
 
+import ast
 import functools
+import pathlib
 import random
 import tracemalloc
 
@@ -9,6 +11,7 @@ import pytest
 
 import balanced_coloring as bc
 from balanced_coloring import Budget, Coloring, solver
+from balanced_coloring.coloring import leaf_overload
 
 from conftest import H7_COLORING, RefSearch, brute_force_masks, random_graph
 
@@ -506,3 +509,58 @@ def test_prefilter_reasons():
     assert tri.edge_count % 2 == 0 and tri.n % 4 == 2
     assert bc.prefilter_reason(tri, "cnb") is not None
     assert bc.solve(tri, "cnb").status == "unsat"
+
+
+def _reference_reason(g, mode):
+    """The reason solve should give when a generic certificate answers,
+    chained here from the two public checks: the prefilter first, then in
+    cnb the leaf bound; None when neither applies."""
+    why = bc.prefilter_reason(g, mode)
+    if why is not None:
+        return f"prefilter:{why}"
+    if mode == "cnb" and leaf_overload(g, g.degrees()) is not None:
+        return "forced-classes"
+    return None
+
+
+class TestCertificateChain:
+    def test_solve_reasons_match_the_reference_chain(self):
+        answered = 0
+        for n in range(7):
+            for g in bc.all_labeled_graphs(n):
+                for mode in ("cnb", "nb"):
+                    want = _reference_reason(g, mode)
+                    got = bc.solve(g, mode).reason
+                    if want is None:
+                        assert not got.startswith("prefilter:"), (g, mode)
+                        assert got != "forced-classes", (g, mode)
+                    else:
+                        assert got == want, (g, mode)
+                        answered += 1
+        assert answered > 0
+
+    def test_odd_cnb_order_needs_no_degrees(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("degrees computed")
+
+        monkeypatch.setattr(bc.Graph, "degrees", refuse)
+        out = bc.solve(bc.star(4), "cnb")
+        assert (out.status, out.reason) == ("unsat", "prefilter:odd vertex count")
+        assert bc.enumerate_colorings(bc.star(4), "cnb").colorings == ()
+        assert bc.decompose_cnbc_tree(bc.path(7)) is None
+
+
+def test_only_cli_and_init_import_solver():
+    importers = set()
+    for path in pathlib.Path(bc.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                names = [base] + [f"{base}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "solver" for name in names):
+                importers.add(path.name)
+    assert importers == {"cli.py", "__init__.py"}

@@ -292,6 +292,13 @@ class TestReplayAndScripts:
         with pytest.raises(bc.MalformedScriptError):
             bc.replay(TreeBuildScript.from_dict(payload))
 
+    def test_order_bound_is_checked_before_any_step(self):
+        # 2 + 4 * 65,536 vertices reach the 2^18 bound; the steps are never
+        # read, so these (all reusing vertex 2) fail on the bound alone
+        step = AdditionStep(z=0, v=2, x=3, w1=4, w2=5)
+        with pytest.raises(bc.MalformedScriptError, match="262144"):
+            bc.replay(TreeBuildScript(steps=(step,) * 65_536))
+
 
 class TestTreeGeneration:
     def test_counts_match_cayley(self):
