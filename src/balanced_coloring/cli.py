@@ -136,8 +136,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    g = _load_graph(args)
-    outcome = solve(g, args.mode, _budget(args))
+    budget = _budget(args)
+    outcome = solve(_load_graph(args), args.mode, budget)
     _emit(outcome.as_dict(), args.format)
     if outcome.status == "sat":
         return EXIT_OK
@@ -160,7 +160,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    graphs = list(g6.iter_graph6(_graph6_lines(args.input)))
+    budget = _budget(args)
     workers = args.workers
     if workers is None:
         raw = os.environ.get(_WORKERS_ENV, "1")
@@ -168,7 +168,8 @@ def _cmd_census(args) -> int:
             workers = int(raw)
         except ValueError:
             raise InputError(f"{_WORKERS_ENV} must be an integer, got {raw!r}") from None
-    for outcome in census(graphs, args.mode, _budget(args), workers=workers):
+    graphs = list(g6.iter_graph6(_graph6_lines(args.input)))
+    for outcome in census(graphs, args.mode, budget, workers=workers):
         d = outcome.as_dict()
         if args.format == "json":
             print(json.dumps(d))
@@ -179,6 +180,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    budget = _budget(args)
     name, params = _parse_family_tokens(args.family)
     g, verdict = _family_verdict(name, params, args.mode)
     provenance = "theorem"
@@ -186,7 +188,7 @@ def _cmd_family(args) -> int:
     witness = verdict.witness
     value, reason, theorem = verdict.value, verdict.reason, verdict.theorem
     if value == "unknown":
-        outcome = solve(g, args.mode, _budget(args))
+        outcome = solve(g, args.mode, budget)
         provenance = "solver"
         if outcome.status == "sat":
             value, witness, reason = "yes", outcome.witness, "exact search found a witness"

@@ -3,9 +3,10 @@ recognizer for closed-balanced trees, script replay, and labeled-tree
 generation through Prufer sequences.
 
 A closed-balanced tree is exactly one built from a single edge by repeated
-4-vertex additions, so recognition peels those additions off the end of a
-longest path and records them; replaying the recorded script reconstructs
-the tree with its original labels and a valid coloring.
+4-vertex additions, so recognition peels those additions off the far end of
+one BFS per step (an end of a longest path) and records them; replaying the
+recorded script reconstructs the tree with its original labels and a valid
+coloring.
 """
 
 from __future__ import annotations
@@ -49,19 +50,10 @@ def four_vertex_addition(g: Graph, c: Coloring, z: int) -> tuple[Graph, Coloring
     if not 0 <= z < g.n:
         raise ValueError(f"anchor {z} outside 0..{g.n - 1}")
     n = g.n
-    v, x, w1, w2 = n, n + 1, n + 2, n + 3
     rows = list(g.adj) + [0, 0, 0, 0]
-    for a, b in ((z, v), (z, x), (v, w1), (v, w2)):
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
+    red = _graft(rows, c.bits, AdditionStep(z, n, n + 1, n + 2, n + 3))
     out = Graph._trusted(n + 4, tuple(rows))
-    zcol = c.is_red(z)
-    cbits = c.bits
-    if zcol:
-        cbits |= 1 << v
-    else:
-        cbits |= (1 << x) | (1 << w1) | (1 << w2)
-    return out, checked_output(out, Coloring(n + 4, cbits), "cnb", "4-vertex addition")
+    return out, checked_output(out, Coloring(n + 4, red), "cnb", "4-vertex addition")
 
 
 def three_vertex_addition(
@@ -148,40 +140,49 @@ class TreeBuildScript:
         return cls(steps=steps, base=base)
 
 
+def _graft(rows: list[int], red: int, s: AdditionStep) -> int:
+    """Add step s's edges z-v, z-x, v-w1 and v-w2 to rows, and return the
+    red mask with the new vertices colored: v takes z's color, and x, w1
+    and w2 take the opposite one."""
+    for a, b in ((s.z, s.v), (s.z, s.x), (s.v, s.w1), (s.v, s.w2)):
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    if red >> s.z & 1:
+        return red | 1 << s.v
+    return red | 1 << s.x | 1 << s.w1 | 1 << s.w2
+
+
 def replay(script: TreeBuildScript) -> tuple[Graph, Coloring]:
     """Rebuild the tree a script describes, with its coloring.
 
     The base edge gets red on its lower vertex; each step then colors its
-    new vertices by the addition rule. The final vertex set must be exactly
-    0..n-1; anything structurally inconsistent raises MalformedScriptError,
-    and so does a script for MAX_ORDER or more vertices, before any step.
+    new vertices by the addition rule. Every id must lie in 0..n-1 and each
+    step's new vertices must be fresh, so the n ids cover 0..n-1 exactly;
+    anything structurally inconsistent raises MalformedScriptError, and so
+    does a script for MAX_ORDER or more vertices, before any step.
     """
-    if 2 + 4 * len(script.steps) >= MAX_ORDER:
+    n = 2 + 4 * len(script.steps)
+    if n >= MAX_ORDER:
         raise MalformedScriptError(f"a script must build fewer than {MAX_ORDER} vertices")
     a, b = script.base
-    if a == b or a < 0 or b < 0:
-        raise MalformedScriptError("base must be two distinct non-negative vertices")
-    lo, hi = min(a, b), max(a, b)
-    colors = {lo: 1, hi: 0}
-    edges: list[tuple[int, int]] = [(lo, hi)]
+    if a == b or not (0 <= a < n and 0 <= b < n):
+        raise MalformedScriptError(f"base must be two distinct vertices in 0..{n - 1}")
+    rows = [0] * n
+    rows[a], rows[b] = 1 << b, 1 << a
+    red = 1 << min(a, b)
+    seen = 1 << a | 1 << b
     for idx, s in enumerate(script.steps):
-        fresh = (s.v, s.x, s.w1, s.w2)
-        if len(set(fresh)) != 4 or any(f in colors for f in fresh):
+        if not all(0 <= u < n for u in (s.z, s.v, s.x, s.w1, s.w2)):
+            raise MalformedScriptError(f"step {idx}: vertex id outside 0..{n - 1}")
+        fresh = 1 << s.v | 1 << s.x | 1 << s.w1 | 1 << s.w2
+        if fresh.bit_count() != 4 or fresh & seen:
             raise MalformedScriptError(f"step {idx}: new vertices must be fresh")
-        if any(f < 0 for f in fresh):
-            raise MalformedScriptError(f"step {idx}: negative vertex id")
-        if s.z not in colors:
+        if not seen >> s.z & 1:
             raise MalformedScriptError(f"step {idx}: anchor {s.z} not present yet")
-        zc = colors[s.z]
-        colors[s.v] = zc
-        colors[s.x] = colors[s.w1] = colors[s.w2] = 1 - zc
-        edges += [(s.z, s.v), (s.z, s.x), (s.v, s.w1), (s.v, s.w2)]
-    n = 2 + 4 * len(script.steps)
-    if sorted(colors) != list(range(n)):
-        raise MalformedScriptError("vertex ids must form the contiguous range 0..n-1")
-    g = Graph.from_edges(n, edges)
-    col = Coloring.from_red(n, (v for v, c in colors.items() if c))
-    return g, checked_output(g, col, "cnb", "replayed script")
+        seen |= fresh
+        red = _graft(rows, red, s)
+    g = Graph._trusted(n, tuple(rows))
+    return g, checked_output(g, Coloring(n, red), "cnb", "replayed script")
 
 
 # ---------------------------------------------------------------------------
@@ -189,20 +190,11 @@ def replay(script: TreeBuildScript) -> tuple[Graph, Coloring]:
 # ---------------------------------------------------------------------------
 
 
-def _longest_path(adj: Sequence[int], start: int) -> list[int]:
-    """A longest path of the tree holding start, from a, the lowest vertex
-    of the last BFS layer from start, to the lowest vertex of the last BFS
-    layer from a. Each vertex has exactly one neighbor in the layer before
-    its own, so the walk back from the far end is forced."""
+def _far_end(adj: Sequence[int], start: int) -> int:
+    """The lowest vertex of the last BFS layer from start: one end of a
+    longest path of the tree holding start."""
     *_, last = _bfs_layers(adj, start)
-    layers = list(_bfs_layers(adj, (last & -last).bit_length() - 1))
-    v = (layers[-1] & -layers[-1]).bit_length() - 1
-    path = [v]
-    for layer in reversed(layers[:-1]):
-        v = (adj[v] & layer).bit_length() - 1
-        path.append(v)
-    path.reverse()
-    return path
+    return (last & -last).bit_length() - 1
 
 
 def decompose_cnbc_tree(t: Graph) -> TreeBuildScript | None:
@@ -211,11 +203,13 @@ def decompose_cnbc_tree(t: Graph) -> TreeBuildScript | None:
     Rejections: the first of solve's certificates (``_certificates``: for
     a tree, an even-degree vertex or an order not 2 mod 4, then a vertex
     carrying more than (deg+1)/2 leaves); then any peel step failing. Each
-    step takes a longest path (double BFS), checks that its second vertex
-    has degree 3 with two leaf neighbors, removes those three plus the
-    lowest-id leaf hanging off the third vertex, and records the addition;
-    success means only an edge is left. Raises NotATreeError when the
-    input is not a tree.
+    step runs one BFS from the lowest live vertex; its far end a ends a
+    longest path, so a's neighbor v2 has at most one non-leaf neighbor v3
+    (a second would give a longer path), and none means a star is left.
+    The step checks that v2 has degree 3, removes v2, its two leaves and
+    the lowest-id leaf hanging off v3, and records the addition; success
+    means only an edge is left. Raises NotATreeError when the input is not
+    a tree.
     """
     if not is_tree(t):
         raise NotATreeError(f"input with {t.n} vertices, {t.edge_count} edges")
@@ -225,24 +219,20 @@ def decompose_cnbc_tree(t: Graph) -> TreeBuildScript | None:
     alive = (1 << t.n) - 1
     steps: list[AdditionStep] = []
     while alive.bit_count() > 2:
-        start = (alive & -alive).bit_length() - 1
-        path = _longest_path(adj, start)
-        if len(path) < 4:
+        a = _far_end(adj, (alive & -alive).bit_length() - 1)
+        v2 = adj[a].bit_length() - 1  # a is a leaf
+        v3 = next((u for u in bits(adj[v2]) if adj[u].bit_count() > 1), None)
+        if v3 is None or adj[v2].bit_count() != 3:
             return None
-        v2, v3 = path[1], path[2]
-        if adj[v2].bit_count() != 3:
-            return None
-        # both are leaves: a further neighbor would extend the longest path
-        w1, w2 = bits(adj[v2] & ~(1 << v3))
         x = next((u for u in bits(adj[v3]) if adj[u].bit_count() == 1), None)
         if x is None:
             return None
+        w1, w2 = bits(adj[v2] & ~(1 << v3))
         steps.append(AdditionStep(z=v3, v=v2, x=x, w1=w1, w2=w2))
-        for gone in (v2, x, w1, w2):
-            for nb in bits(adj[gone]):
-                adj[nb] &= ~(1 << gone)
-            adj[gone] = 0
-            alive &= ~(1 << gone)
+        # only v2 and x touch a survivor, and that survivor is v3
+        gone = 1 << v2 | 1 << x | 1 << w1 | 1 << w2
+        adj[v3] &= ~gone
+        alive &= ~gone
     return TreeBuildScript(steps=tuple(reversed(steps)), base=tuple(bits(alive)))
 
 

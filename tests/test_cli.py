@@ -83,12 +83,22 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "gp", "8", "3", "--budget-nodes", "0")
         assert code == 2
 
-    @pytest.mark.parametrize("command", ["solve", "census"])
-    def test_nan_budget_is_refused(self, capsys, tmp_path, command):
+    @pytest.mark.parametrize("argv, lines", [
+        pytest.param(["solve"], [g6.encode(bc.complete(4))], id="solve"),
+        pytest.param(["census"], [g6.encode(bc.complete(4))], id="census"),
+        # the flag is checked before any line is read, so it wins over a bad one
+        pytest.param(["census"], [g6.encode(bc.complete(4)), "B"], id="census-bad-second-line"),
+        # and before the member is built, whether or not it needs the solver
+        pytest.param(["family", "circulant", "12", "1,6"], None, id="family-theorem"),
+        pytest.param(["family", "circulant", "16", "1,3,8"], None, id="family-solver"),
+    ])
+    def test_nan_budget_is_refused(self, capsys, tmp_path, argv, lines):
         # a NaN deadline would never pass, silently lifting the time budget
-        p = tmp_path / "g.g6"
-        p.write_text(g6.encode(bc.complete(4)) + "\n")
-        code, out, err = run(capsys, command, "--input", str(p), "--budget-ms", "nan")
+        if lines is not None:
+            p = tmp_path / "g.g6"
+            p.write_text("".join(line + "\n" for line in lines))
+            argv = [*argv, "--input", str(p)]
+        code, out, err = run(capsys, *argv, "--budget-ms", "nan")
         assert (code, out) == (2, "")
         assert "budgets must be positive" in err
 
@@ -345,7 +355,15 @@ class TestTree:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "payload", [[], "x", {"base": [0, None], "steps": []}],
+        "payload",
+        [
+            [],
+            "x",
+            {"base": [0, None], "steps": []},
+            {"steps": [{"z": 0, "v": -2, "x": 3, "w1": 4, "w2": 5}]},
+            {"steps": [{"z": 0, "v": 2, "x": 3, "w1": 4, "w2": 6}]},
+            {"base": [0, 5], "steps": []},
+        ],
     )
     def test_replay_malformed_payload_is_usage_error(self, capsys, tmp_path, payload):
         sp = tmp_path / "script.json"

@@ -203,6 +203,13 @@ class TestDecompose:
         (3, 2, [6, 7], [(7, 13, 0, 3, 12), (13, 8, 1, 4, 9), (12, 10, 11, 2, 5)]),
         (4, 3, [7, 8], [(8, 14, 0, 4, 17), (17, 10, 3, 12, 16), (16, 9, 6, 11, 15),
                         (16, 1, 2, 5, 13)]),
+        (8, 4, [0, 33], [(0, 30, 16, 7, 32), (33, 13, 27, 6, 20), (27, 21, 28, 10, 12),
+                         (28, 26, 15, 23, 25), (12, 3, 5, 8, 11), (26, 22, 19, 2, 18),
+                         (26, 17, 14, 1, 4), (23, 24, 31, 9, 29)]),
+        (12, 5, [13, 17], [(17, 12, 0, 20, 26), (20, 3, 1, 21, 37), (1, 49, 5, 39, 43),
+                           (37, 16, 32, 42, 48), (37, 7, 31, 2, 40), (31, 24, 15, 23, 30),
+                           (39, 45, 33, 8, 28), (16, 47, 36, 6, 34), (48, 14, 18, 22, 29),
+                           (14, 44, 19, 27, 41), (18, 4, 10, 11, 46), (22, 38, 25, 9, 35)]),
     ])
     def test_script_is_pinned(self, steps, seed, base, expect):
         # `tree decompose` output must repeat across versions, so the peel
@@ -214,19 +221,19 @@ class TestDecompose:
         }
 
     def test_longest_path_against_networkx(self):
+        # each peel step starts from the lowest vertex at maximum distance
+        # from its start, which ends a longest path
         rng = random.Random(60)
         for _ in range(300):
             n = rng.randint(2, 60)
             t = bc.random_labeled_tree(n, rng)
             start = rng.randrange(n)
-            path = trees._longest_path(t.adj, start)
+            a = trees._far_end(t.adj, start)
             ref = nx.Graph(list(t.edges()))
-            assert len(path) == len(set(path)) == nx.diameter(ref) + 1
-            assert all(ref.has_edge(u, v) for u, v in zip(path, path[1:]))
-            for src, end in ((start, path[0]), (path[0], path[-1])):
-                dist = nx.single_source_shortest_path_length(ref, src)
-                far = max(dist.values())
-                assert end == min(v for v, d in dist.items() if d == far)
+            dist = nx.single_source_shortest_path_length(ref, start)
+            far = max(dist.values())
+            assert a == min(v for v, d in dist.items() if d == far)
+            assert max(nx.single_source_shortest_path_length(ref, a).values()) == nx.diameter(ref)
 
     def test_forced_coloring_structure(self):
         # a balanced tree has exactly one coloring up to swap
@@ -286,6 +293,9 @@ class TestReplayAndScripts:
             {"base": [0, None], "steps": []},
             [],
             "x",
+            {"steps": [{"z": 0, "v": -2, "x": 3, "w1": 4, "w2": 5}]},  # negative id
+            {"steps": [{"z": 0, "v": 2, "x": 3, "w1": 4, "w2": 6}]},  # id >= n
+            {"base": [0, 5], "steps": []},  # base outside 0..n-1
         ],
     )
     def test_malformed_scripts_rejected(self, payload):
