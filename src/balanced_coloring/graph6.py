@@ -133,7 +133,9 @@ def decode(text: str | bytes) -> Graph:
             low = col & -col
             rows[low.bit_length() - 1] |= bit_j
             col ^= low
-    return Graph(n, tuple(rows))
+    # every byte is screened, and column j holds bits below j only, each one
+    # mirrored: the rows are in range, loop-free and symmetric as built
+    return Graph._trusted(n, tuple(rows))
 
 
 def iter_graph6(lines: Iterable[str]) -> Iterator[Graph]:

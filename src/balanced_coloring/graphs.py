@@ -66,8 +66,9 @@ class Graph:
     def _trusted(cls, n: int, adj: tuple[int, ...]) -> Graph:
         """A graph from rows that are in range, loop-free and symmetric by
         construction, skipping the checks of ``__post_init__``. The
-        package's builders and operators use it; outside input (``Graph``
-        itself, graph6 decoding) is always checked."""
+        package's builders and operators use it, and so does graph6
+        decoding once it has screened every byte; ``Graph`` itself always
+        checks."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "adj", adj)

@@ -3,10 +3,10 @@ recognizer for closed-balanced trees, script replay, and labeled-tree
 generation through Prufer sequences.
 
 A closed-balanced tree is exactly one built from a single edge by repeated
-4-vertex additions, so recognition peels those additions off the far end of
-one BFS per step (an end of a longest path) and records them; replaying the
-recorded script reconstructs the tree with its original labels and a valid
-coloring.
+4-vertex additions, so recognition peels those additions off an end of a
+longest path, read from BFS layers kept across the steps, and records them;
+replaying the recorded script reconstructs the tree with its original
+labels and a valid coloring.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 from .coloring import (
     Coloring, InvalidColoringError, _certificates, checked_output, require_valid,
 )
-from .graphs import MAX_ORDER, Graph, _bfs_layers, bits, is_tree
+from .graphs import MAX_ORDER, Graph, _bfs_layers, bits
 
 
 class NotATreeError(ValueError):
@@ -125,12 +125,9 @@ class TreeBuildScript:
                 f"script must be a JSON object, got {type(data).__name__}"
             )
         try:
-            base = tuple(int(b) for b in data.get("base", (0, 1)))
+            base = tuple(_vertex_id(b) for b in data.get("base", (0, 1)))
             steps = tuple(
-                AdditionStep(
-                    z=int(s["z"]), v=int(s["v"]), x=int(s["x"]),
-                    w1=int(s["w1"]), w2=int(s["w2"]),
-                )
+                AdditionStep(*(_vertex_id(s[k]) for k in ("z", "v", "x", "w1", "w2")))
                 for s in data["steps"]
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -138,6 +135,14 @@ class TreeBuildScript:
         if len(base) != 2:
             raise MalformedScriptError("base must list exactly two vertices")
         return cls(steps=steps, base=base)
+
+
+def _vertex_id(value: object) -> int:
+    """A script's vertex id as given: a JSON integer, never a bool, float or
+    string that int() would coerce into another tree."""
+    if type(value) is not int:
+        raise TypeError(f"vertex id {value!r} is not an integer")
+    return value
 
 
 def _graft(rows: list[int], red: int, s: AdditionStep) -> int:
@@ -190,36 +195,35 @@ def replay(script: TreeBuildScript) -> tuple[Graph, Coloring]:
 # ---------------------------------------------------------------------------
 
 
-def _far_end(adj: Sequence[int], start: int) -> int:
-    """The lowest vertex of the last BFS layer from start: one end of a
-    longest path of the tree holding start."""
-    *_, last = _bfs_layers(adj, start)
-    return (last & -last).bit_length() - 1
-
-
 def decompose_cnbc_tree(t: Graph) -> TreeBuildScript | None:
     """Recognize a closed-balanced tree and emit its build script, or None.
 
     Rejections: the first of solve's certificates (``_certificates``: for
     a tree, an even-degree vertex or an order not 2 mod 4, then a vertex
-    carrying more than (deg+1)/2 leaves); then any peel step failing. Each
-    step runs one BFS from the lowest live vertex; its far end a ends a
-    longest path, so a's neighbor v2 has at most one non-leaf neighbor v3
-    (a second would give a longer path), and none means a star is left.
-    The step checks that v2 has degree 3, removes v2, its two leaves and
-    the lowest-id leaf hanging off v3, and records the addition; success
-    means only an edge is left. Raises NotATreeError when the input is not
-    a tree.
+    carrying more than (deg+1)/2 leaves); then any peel step failing. The
+    tree test's BFS layers from vertex 0 serve each step until that start
+    is peeled (peeling keeps distances), then a BFS runs from the lowest
+    live vertex. A step's a, the lowest live vertex of the deepest live
+    layer, ends a longest path, so its neighbor v2 has at most one non-leaf
+    neighbor v3 (none: a star is left). The step checks that v2 has degree
+    3, removes v2, its two leaves and the lowest leaf of v3, and records
+    the addition; only an edge may be left. Raises NotATreeError when the
+    input is not a tree.
     """
-    if not is_tree(t):
+    adj = list(t.adj)
+    alive = (1 << t.n) - 1
+    layers = list(_bfs_layers(adj, 0)) if t.edge_count == t.n - 1 else []
+    if not layers or sum(layers) != alive:
         raise NotATreeError(f"input with {t.n} vertices, {t.edge_count} edges")
     if next(_certificates(t, "cnb"), None) is not None:
         return None
-    adj = list(t.adj)
-    alive = (1 << t.n) - 1
     steps: list[AdditionStep] = []
     while alive.bit_count() > 2:
-        a = _far_end(adj, (alive & -alive).bit_length() - 1)
+        if not layers[0] & alive:
+            layers = list(_bfs_layers(adj, next(bits(alive))))
+        while not layers[-1] & alive:
+            layers.pop()
+        a = next(bits(layers[-1] & alive))
         v2 = adj[a].bit_length() - 1  # a is a leaf
         v3 = next((u for u in bits(adj[v2]) if adj[u].bit_count() > 1), None)
         if v3 is None or adj[v2].bit_count() != 3:

@@ -11,15 +11,16 @@ import functools
 import random
 import time
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import pytest
 
 from balanced_coloring import Graph
-from balanced_coloring.coloring import Mode, _balance_rows, _twin_groups
+from balanced_coloring.coloring import Mode, _balance_rows, _certificates, _twin_groups
 from balanced_coloring.graph6 import Graph6Error
-from balanced_coloring.graphs import bits
+from balanced_coloring.graphs import _bfs_layers, bits, is_tree
 from balanced_coloring.solver import _LimitExceeded
+from balanced_coloring.trees import AdditionStep, NotATreeError, TreeBuildScript, replay
 
 
 def ref_neighbor_sets(g: Graph) -> dict[int, set[int]]:
@@ -346,6 +347,70 @@ class RefSearch:
                 stack[-1] = (v, i + 1, mark)
                 ok = self._request([(v, colors[i])])
 
+
+
+# Tree peel reference: the recognizer that ran one BFS over the live tree per
+# peel step, after a separate BFS for the tree test. The library's peel
+# reads kept BFS layers instead and must give the same scripts and errors.
+def _ref_far_end(adj: Sequence[int], start: int) -> int:
+    """The lowest vertex of the last BFS layer from start: one end of a
+    longest path of the tree holding start."""
+    *_, last = _bfs_layers(adj, start)
+    return (last & -last).bit_length() - 1
+
+
+def ref_decompose(t: Graph) -> TreeBuildScript | None:
+    if not is_tree(t):
+        raise NotATreeError(f"input with {t.n} vertices, {t.edge_count} edges")
+    if next(_certificates(t, "cnb"), None) is not None:
+        return None
+    adj = list(t.adj)
+    alive = (1 << t.n) - 1
+    steps: list[AdditionStep] = []
+    while alive.bit_count() > 2:
+        a = _ref_far_end(adj, (alive & -alive).bit_length() - 1)
+        v2 = adj[a].bit_length() - 1  # a is a leaf
+        v3 = next((u for u in bits(adj[v2]) if adj[u].bit_count() > 1), None)
+        if v3 is None or adj[v2].bit_count() != 3:
+            return None
+        x = next((u for u in bits(adj[v3]) if adj[u].bit_count() == 1), None)
+        if x is None:
+            return None
+        w1, w2 = bits(adj[v2] & ~(1 << v3))
+        steps.append(AdditionStep(z=v3, v=v2, x=x, w1=w1, w2=w2))
+        # only v2 and x touch a survivor, and that survivor is v3
+        gone = 1 << v2 | 1 << x | 1 << w1 | 1 << w2
+        adj[v3] &= ~gone
+        alive &= ~gone
+    return TreeBuildScript(steps=tuple(reversed(steps)), base=tuple(bits(alive)))
+
+
+def grown_tree(steps: int, rng: random.Random) -> Graph:
+    """A closed-balanced tree: one edge and `steps` 4-vertex additions at
+    random anchors, randomly labeled, built by one replay (so in linear time,
+    unlike repeated ``four_vertex_addition`` calls that verify each step)."""
+    n = 2 + 4 * steps
+    label = list(range(n))
+    rng.shuffle(label)
+    script = TreeBuildScript(
+        steps=tuple(
+            AdditionStep(label[rng.randrange(2 + 4 * i)], *label[2 + 4 * i : 6 + 4 * i])
+            for i in range(steps)
+        ),
+        base=(label[0], label[1]),
+    )
+    return replay(script)[0]
+
+
+def low_x_star_tree(k: int) -> Graph:
+    """k 4-vertex additions all anchored at the center k of the edge k-(k+1),
+    with the leaves x taken from the center numbered 0..k-1: the BFS start
+    (the lowest live vertex) is that peel step's x at every step."""
+    steps = tuple(
+        AdditionStep(z=k, v=k + 2 + 3 * i, x=i, w1=k + 3 + 3 * i, w2=k + 4 + 3 * i)
+        for i in range(k)
+    )
+    return replay(TreeBuildScript(steps=steps, base=(k, k + 1)))[0]
 
 # H6: the unique 6-vertex balanced tree, labeled z1=0, z2=1, v=2, x=3,
 # w1=4, w2=5 (one 4-vertex addition to the edge 0-1 at vertex 0).

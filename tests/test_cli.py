@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ from balanced_coloring import graph6 as g6
 from balanced_coloring import solver
 from balanced_coloring.cli import main
 
-from conftest import H6_EDGES
+from conftest import H6_EDGES, grown_tree
 
 
 def run(capsys, *argv):
@@ -363,6 +364,10 @@ class TestTree:
             {"steps": [{"z": 0, "v": -2, "x": 3, "w1": 4, "w2": 5}]},
             {"steps": [{"z": 0, "v": 2, "x": 3, "w1": 4, "w2": 6}]},
             {"base": [0, 5], "steps": []},
+            {"steps": [{"z": 0.9, "v": 2, "x": 3, "w1": 4, "w2": 5}]},
+            {"base": "01", "steps": []},
+            {"base": [True, False], "steps": []},
+            {"steps": [{"z": "0", "v": 2, "x": 3, "w1": 4, "w2": 5}]},
         ],
     )
     def test_replay_malformed_payload_is_usage_error(self, capsys, tmp_path, payload):
@@ -371,6 +376,17 @@ class TestTree:
         code, out, err = run(capsys, "tree", "replay", "--script", str(sp))
         assert code == 2 and out == ""
         assert err.startswith("error: ")
+
+    def test_large_tree_round_trip(self, capsys, tmp_path):
+        t = grown_tree(2000, random.Random(8002))
+        p = tmp_path / "tree.g6"
+        p.write_text(g6.encode(t) + "\n")
+        code, out, _ = run(capsys, "tree", "decompose", "--input", str(p))
+        assert code == 0 and t.n == 8002
+        sp = tmp_path / "script.json"
+        sp.write_text(json.dumps(jline(out)["script"]))
+        code, out, _ = run(capsys, "tree", "replay", "--script", str(sp))
+        assert code == 0 and jline(out)["graph6"] == p.read_text().strip()
 
     def test_replay_past_the_order_bound_is_usage_error(self, capsys, tmp_path):
         # 65,536 steps would build 2 + 4 * 65,536 = 262,146 vertices

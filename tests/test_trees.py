@@ -7,9 +7,11 @@ import networkx as nx
 import pytest
 
 import balanced_coloring as bc
-from balanced_coloring import AdditionStep, Coloring, Graph, TreeBuildScript, trees
+from balanced_coloring import AdditionStep, Coloring, Graph, TreeBuildScript, graphs, trees
 
-from conftest import H6_EDGES, H7_COLORING, H7_EDGES
+from conftest import (
+    H6_EDGES, H7_COLORING, H7_EDGES, grown_tree, low_x_star_tree, ref_decompose,
+)
 
 
 class TestFourVertexAddition:
@@ -222,18 +224,22 @@ class TestDecompose:
 
     def test_longest_path_against_networkx(self):
         # each peel step starts from the lowest vertex at maximum distance
-        # from its start, which ends a longest path
+        # from the lowest live vertex, which ends a longest path of the live
+        # tree, also where the step reads BFS layers kept from earlier steps
         rng = random.Random(60)
-        for _ in range(300):
-            n = rng.randint(2, 60)
-            t = bc.random_labeled_tree(n, rng)
-            start = rng.randrange(n)
-            a = trees._far_end(t.adj, start)
-            ref = nx.Graph(list(t.edges()))
-            dist = nx.single_source_shortest_path_length(ref, start)
-            far = max(dist.values())
-            assert a == min(v for v, d in dist.items() if d == far)
-            assert max(nx.single_source_shortest_path_length(ref, a).values()) == nx.diameter(ref)
+        cases = [grown_tree(rng.randint(1, 12), rng) for _ in range(60)]
+        cases += [low_x_star_tree(k) for k in (2, 3, 6)]
+        for t in cases:
+            script = bc.decompose_cnbc_tree(t)
+            live = nx.Graph(list(t.edges()))
+            for s in reversed(script.steps):
+                dist = nx.single_source_shortest_path_length(live, min(live))
+                far = max(dist.values())
+                a = min(v for v, d in dist.items() if d == far)
+                assert a in (s.w1, s.w2)
+                assert max(nx.single_source_shortest_path_length(live, a).values()) == nx.diameter(live)
+                live.remove_nodes_from((s.v, s.x, s.w1, s.w2))
+            assert sorted(live) == sorted(script.base)
 
     def test_forced_coloring_structure(self):
         # a balanced tree has exactly one coloring up to swap
@@ -253,6 +259,74 @@ class TestDecompose:
             for _ in range(2):
                 g, c = bc.four_vertex_addition(g, c, rng.randrange(g.n))
             assert len(bc.enumerate_colorings(g, "cnb").colorings) == 2
+
+
+def peel_outcome(decompose, g):
+    try:
+        script = decompose(g)
+    except ValueError as exc:
+        return type(exc)
+    return None if script is None else script.as_dict()
+
+
+class TestAgainstReferencePeel:
+    """The peel on kept BFS layers against the one-BFS-per-step peel in
+    conftest: the same scripts, the same rejections, the same errors."""
+
+    def same(self, g):
+        out = peel_outcome(bc.decompose_cnbc_tree, g)
+        assert out == peel_outcome(ref_decompose, g)
+        return out
+
+    def test_every_labeled_tree_to_order_7(self):
+        outs = [self.same(t) for n in range(1, 8) for t in bc.labeled_trees(n)]
+        assert len(outs) == 1 + 1 + 3 + 16 + 125 + 1296 + 16807
+        assert sum(isinstance(o, dict) for o in outs) == 1 + 90
+
+    def test_every_graph_to_order_5_that_is_not_a_tree(self):
+        others = [g for n in range(6) for g in bc.all_labeled_graphs(n) if not bc.is_tree(g)]
+        assert len(others) == 1 + 0 + 1 + 5 + 48 + 899
+        assert {self.same(g) for g in others} == {bc.NotATreeError}
+
+    def test_grown_relabeled_trees(self):
+        rng = random.Random(3141)
+        for _ in range(300):
+            t = grown_tree(rng.randint(2, 60), rng)
+            assert isinstance(self.same(t), dict)
+
+    def test_trees_that_peel_their_start_every_step(self):
+        for k in range(2, 51):
+            assert isinstance(self.same(low_x_star_tree(k)), dict)
+
+    @staticmethod
+    def count_bfs(monkeypatch):
+        calls = []
+        bfs_layers = graphs._bfs_layers
+
+        def counting(adj, start):
+            calls.append(start)
+            return bfs_layers(adj, start)
+
+        monkeypatch.setattr(graphs, "_bfs_layers", counting)
+        monkeypatch.setattr(trees, "_bfs_layers", counting)
+        return calls
+
+    def test_large_grown_tree_needs_few_bfs_passes(self, monkeypatch):
+        # peeling never moves the remaining vertices' distances, so the
+        # tree test's BFS serves every step until its start is peeled; the
+        # one-BFS-per-step peel makes 1 + 1,000 passes here
+        t = grown_tree(1000, random.Random(4002))
+        calls = self.count_bfs(monkeypatch)
+        script = bc.decompose_cnbc_tree(t)
+        assert t.n == 4002 and calls[0] == 0 and len(calls) <= 8
+        assert bc.replay(script)[0] == t
+
+    def test_start_peeled_every_step_reruns_bfs(self, monkeypatch):
+        # the worst case: vertex 0, 1, ... is each step's x in turn
+        calls = self.count_bfs(monkeypatch)
+        script = bc.decompose_cnbc_tree(low_x_star_tree(20))
+        assert calls == list(range(20))
+        assert [s.x for s in script.steps] == list(range(19, -1, -1))
 
 
 class TestReplayAndScripts:
@@ -296,6 +370,11 @@ class TestReplayAndScripts:
             {"steps": [{"z": 0, "v": -2, "x": 3, "w1": 4, "w2": 5}]},  # negative id
             {"steps": [{"z": 0, "v": 2, "x": 3, "w1": 4, "w2": 6}]},  # id >= n
             {"base": [0, 5], "steps": []},  # base outside 0..n-1
+            # ids that int() would coerce into another tree
+            {"steps": [{"z": 0.9, "v": 2, "x": 3, "w1": 4, "w2": 5}]},
+            {"base": "01", "steps": []},
+            {"base": [True, False], "steps": []},
+            {"steps": [{"z": "0", "v": 2, "x": 3, "w1": 4, "w2": 5}]},
         ],
     )
     def test_malformed_scripts_rejected(self, payload):
