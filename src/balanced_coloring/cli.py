@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import graph6 as g6
 from .coloring import Coloring, first_unbalanced, report
@@ -37,22 +37,32 @@ class InputError(Exception):
     """Bad file contents or inconsistent graph-source flags."""
 
 
-def _read_text(spec: str, encoding: str = "ascii") -> str:
+def _read_text(spec: str) -> str:
     if spec == "-":
-        return sys.stdin.buffer.read().decode(encoding)
+        return sys.stdin.buffer.read().decode("ascii")
     try:
-        with open(spec, "r", encoding=encoding) as fh:
+        with open(spec, "r", encoding="ascii") as fh:
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {spec}: {exc}") from exc
 
 
-def _graph6_lines(spec: str) -> list[str]:
-    """Lines of a graph6 file, read as latin-1 so that every byte is one
-    character (a byte past ASCII then fails graph6's own screen, with its
-    offset) and split at newlines only (str.splitlines also splits at the
-    bytes 0x1c-0x1e and 0x85)."""
-    return _read_text(spec, "latin-1").split("\n")
+def _graph6_lines(spec: str) -> Iterator[str]:
+    """Lines of a graph6 file, read one at a time. Each byte is read as one
+    latin-1 character (a byte past ASCII then fails graph6's own screen,
+    with its offset), and lines end at newlines only, as binary file
+    iteration ends them (str.splitlines also splits at the bytes 0x1c-0x1e
+    and 0x85)."""
+    if spec == "-":
+        for line in sys.stdin.buffer:
+            yield line.decode("latin-1")
+        return
+    try:
+        with open(spec, "rb") as fh:
+            for line in fh:
+                yield line.decode("latin-1")
+    except OSError as exc:
+        raise InputError(f"cannot read {spec}: {exc}") from exc
 
 
 def _parse_family_tokens(tokens: Sequence[str]):
@@ -168,7 +178,7 @@ def _cmd_census(args) -> int:
             workers = int(raw)
         except ValueError:
             raise InputError(f"{_WORKERS_ENV} must be an integer, got {raw!r}") from None
-    graphs = list(g6.iter_graph6(_graph6_lines(args.input)))
+    graphs = g6.iter_graph6(_graph6_lines(args.input))
     for outcome in census(graphs, args.mode, budget, workers=workers):
         d = outcome.as_dict()
         if args.format == "json":

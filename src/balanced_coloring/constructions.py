@@ -18,7 +18,7 @@ building rows by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
 from .coloring import (
@@ -192,28 +192,25 @@ def circulant_constructions(
 def _circulant_routes(spec: CirculantSpec, mode: Mode) -> list[tuple[str, Coloring]]:
     n = spec.n
     lengths = set(spec.lengths)
-    has_half = n % 2 == 0 and n // 2 in lengths
+    # degree parity: cnb needs the half length (odd degrees), nb its absence
+    if (mode == "cnb") != (n % 2 == 0 and n // 2 in lengths):
+        return []
     below = [d for d in lengths if 2 * d != n]
     results: list[tuple[str, Coloring]] = []
 
     evens = sum(1 for d in below if d % 2 == 0)
-    odds = len(below) - evens
-    if n % 2 == 0 and evens == odds:
-        if (mode == "cnb" and has_half and n % 4 == 2) or (
-            mode == "nb" and not has_half
-        ):
-            results.append(("alternating", Coloring(n, _periodic_bits(n, (0, 1)))))
+    if n % 2 == 0 and 2 * evens == len(below) and (mode == "nb" or n % 4 == 2):
+        results.append(("alternating", Coloring(n, _periodic_bits(n, (0, 1)))))
 
     if n % 4 == 0:
         quarter = n // 4
         core = {d for d in below if d != quarter}
         if all((n // 2 - d) in core for d in core):
-            if (mode == "cnb" and has_half) or (mode == "nb" and not has_half):
-                # the alternating pattern, flipped on the first half turn
-                bits = _periodic_bits(n, (0, 1)) ^ ((1 << n // 2) - 1)
-                results.append(("half-period", Coloring(n, bits)))
+            # the alternating pattern, flipped on the first half turn
+            bits = _periodic_bits(n, (0, 1)) ^ ((1 << n // 2) - 1)
+            results.append(("half-period", Coloring(n, bits)))
 
-    if mode == "cnb" and has_half and n % 4 == 0:
+    if mode == "cnb" and n % 4 == 0:
         s1, s2, _ = spec.residue_counts()
         if (n % 8 == 0 and s2 == s1 + 1) or (n % 8 == 4 and s2 == s1):
             results.append(("mod4-blocks", Coloring(n, _periodic_bits(n, (1, 1, 0, 0)))))
@@ -243,14 +240,6 @@ def _lift_reduced_coloring(c_reduced: Coloring, t: int, n: int) -> Coloring:
     return Coloring(n, ((1 << t) - 1) * spread(c_reduced.bits, t))
 
 
-def _route_verdict(spec: CirculantSpec, mode: Mode) -> CharacterizationVerdict | None:
-    routes = _circulant_routes(spec, mode)
-    if not routes:
-        return None
-    name, col = routes[0]
-    return _yes(f"{name} construction applies", name, col)
-
-
 def _cubic_rule(spec: CirculantSpec) -> CharacterizationVerdict:
     """Reduced lengths {d, n/2}: closed-balanced exactly when 4 divides n."""
     n = spec.n
@@ -263,18 +252,16 @@ def _cubic_rule(spec: CirculantSpec) -> CharacterizationVerdict:
 
 
 def _quintic_rule(spec: CirculantSpec) -> CharacterizationVerdict:
-    """Reduced lengths {d1, d2, n/2}; see characterize_quintic_circulant."""
+    """Reduced lengths {d1, d2, n/2} with n = 2 mod 4, the orders the paper
+    characterizes: closed-balanced exactly when d1 and d2 have opposite
+    parity, and then the alternating coloring is a witness."""
     n = spec.n
     d1, d2 = spec.lengths[0], spec.lengths[1]
-    if n % 4 == 2:
-        if d1 % 2 == d2 % 2:
-            return _no(f"lengths {d1}, {d2} share parity with order 2 mod 4", "quintic-parity")
-        return _yes(
-            f"lengths {d1}, {d2} have opposite parity with order 2 mod 4", "quintic-parity",
-            Coloring(n, _periodic_bits(n, (0, 1))),
-        )
-    return _route_verdict(spec, "cnb") or CharacterizationVerdict(
-        "unknown", f"order {n} divisible by 4 with no constructive route; open case"
+    if d1 % 2 == d2 % 2:
+        return _no(f"lengths {d1}, {d2} share parity with order 2 mod 4", "quintic-parity")
+    return _yes(
+        f"lengths {d1}, {d2} have opposite parity with order 2 mod 4", "quintic-parity",
+        Coloring(n, _periodic_bits(n, (0, 1))),
     )
 
 
@@ -295,9 +282,11 @@ def characterize_quintic_circulant(
     """Characterize circulants with lengths {d1, d2, n/2} in closed mode.
 
     After gcd reduction, orders 2 mod 4 are decided by the parity rule
-    (colorable iff d1 and d2 have opposite parity); orders 0 mod 4 are
-    answered yes when a constructive route applies and unknown otherwise,
-    since that side is not fully characterized.
+    (colorable iff d1 and d2 have opposite parity). Orders 0 mod 4 are the
+    case the paper leaves open: they go through the rest of
+    characterize_circulant's chain (the constructive routes, the complement
+    bridge and the exact spectrum) and are unknown only when none of those
+    decides them.
     """
     if n < 2 or n % 2 != 0:
         raise FamilyParameterError("order must be a positive even integer")
@@ -309,11 +298,13 @@ def characterize_quintic_circulant(
 def characterize_circulant(spec: CirculantSpec, mode: Mode = "cnb") -> CharacterizationVerdict:
     """Best theorem-only verdict for an arbitrary circulant.
 
-    Applies the degree-parity obstruction, gcd reduction, the cubic and
-    quintic characterizations, the constructive routes, (once) the
-    complement bridge to the opposite mode, and last the exact spectrum:
-    no balanced coloring exists when the balance matrix is nonsingular
-    (``linalg.circulant_nullity``). The quintic open case stays unknown.
+    Applies the degree-parity obstruction, gcd reduction, the cubic
+    characterization and the quintic one (orders 2 mod 4), the
+    constructive routes, (once) the complement bridge to the opposite mode,
+    and last the exact spectrum: no balanced coloring exists when the
+    balance matrix is nonsingular (``linalg.circulant_nullity``). Each step
+    answers with its own theorem or passes to the next, so the quintic
+    open case (orders 0 mod 4) reaches the bridge and the spectrum too.
     It answers from the spec alone, past the orders a member can be built
     at, and verifies a witness on ``build_family``'s member.
     """
@@ -334,23 +325,19 @@ def _circulant_verdict(spec: CirculantSpec, mode: Mode, bridge: bool) -> Charact
     t, reduced = circulant_reduce(spec)
     if t > 1:
         inner = _circulant_verdict(reduced, mode, bridge)
-        witness = None
-        if inner.witness is not None:
-            witness = _lift_reduced_coloring(inner.witness, t, n)
-        return CharacterizationVerdict(
-            inner.value,
-            f"{inner.reason} (gcd reduction by {t})",
-            theorem=inner.theorem,
-            witness=witness,
-        )
-    # past the parity checks, cnb implies the half length is present
+        lifted = None if inner.witness is None else _lift_reduced_coloring(inner.witness, t, n)
+        return replace(inner, reason=f"{inner.reason} (gcd reduction by {t})", witness=lifted)
+    # past the parity checks, cnb implies the half length is present; the
+    # quintic rule is a theorem only at orders 2 mod 4, and the paper's open
+    # case (0 mod 4) goes on like any other circulant
     if mode == "cnb" and len(spec.lengths) == 2:
         return _cubic_rule(spec)
-    if mode == "cnb" and len(spec.lengths) == 3:
+    if mode == "cnb" and len(spec.lengths) == 3 and n % 4 == 2:
         return _quintic_rule(spec)
-    route = _route_verdict(spec, mode)
-    if route is not None:
-        return route
+    routes = _circulant_routes(spec, mode)
+    if routes:
+        name, col = routes[0]
+        return _yes(f"{name} construction applies", name, col)
     # A complete circulant has an edgeless complement, so there is nothing
     # to bridge to; the complete-graph theorem decides it. Only odd orders
     # in nb mode reach this point: in cnb odd orders stop at degree parity,
@@ -362,12 +349,8 @@ def _circulant_verdict(spec: CirculantSpec, mode: Mode, bridge: bool) -> Charact
         other: Mode = "nb" if mode == "cnb" else "cnb"
         inner = _circulant_verdict(spec.complement_spec(), other, bridge=False)
         if inner.value != "unknown":
-            return CharacterizationVerdict(
-                inner.value,
-                f"complement circulant is {other}-decided: {inner.reason}",
-                theorem=inner.theorem,
-                witness=inner.witness,
-            )
+            why = f"complement circulant is {other}-decided: {inner.reason}"
+            return replace(inner, reason=why)
         # last, so that every cited criterion keeps its name and witness;
         # imported on first use, like in solver.solve, to keep start-up short
         from .linalg import circulant_nullity

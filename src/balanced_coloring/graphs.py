@@ -220,31 +220,38 @@ def prism(n: int) -> Graph:
 # name: (arity, order of the member, builder); the order is computed from
 # the parameters alone, so an oversized member is refused before it exists
 _FAMILIES: dict[str, tuple[int, Callable[..., int], Callable[..., Graph]]] = {
-    "empty": (1, int, lambda n: empty_graph(int(n))),
-    "complete": (1, int, lambda n: complete(int(n))),
-    "path": (1, int, lambda n: path(int(n))),
-    "cycle": (1, int, lambda n: cycle(int(n))),
-    "star": (1, lambda m: int(m) + 1, lambda m: star(int(m))),
-    "wheel": (1, lambda n: int(n) + 1, lambda n: wheel(int(n))),
-    "complete-bipartite": (
-        2, lambda m, n: int(m) + int(n), lambda m, n: complete_bipartite(int(m), int(n))
-    ),
-    "circulant": (2, lambda n, _: int(n), lambda n, lengths: circulant(int(n), tuple(lengths))),
-    "gen-petersen": (2, lambda n, _: 2 * int(n), lambda n, d: gen_petersen(int(n), int(d))),
+    "empty": (1, lambda n: n, lambda n: empty_graph(n)),
+    "complete": (1, lambda n: n, lambda n: complete(n)),
+    "path": (1, lambda n: n, lambda n: path(n)),
+    "cycle": (1, lambda n: n, lambda n: cycle(n)),
+    "star": (1, lambda m: m + 1, lambda m: star(m)),
+    "wheel": (1, lambda n: n + 1, lambda n: wheel(n)),
+    "complete-bipartite": (2, lambda m, n: m + n, lambda m, n: complete_bipartite(m, n)),
+    "circulant": (2, lambda n, _: n, lambda n, lengths: circulant(n, lengths)),
+    "gen-petersen": (2, lambda n, _: 2 * n, lambda n, d: gen_petersen(n, d)),
     "hypercube": (
-        1, lambda dim: 1 << max(0, min(int(dim), MAX_ORDER.bit_length())),
-        lambda dim: hypercube(int(dim)),
+        1, lambda dim: 1 << max(0, min(dim, MAX_ORDER.bit_length())),
+        lambda dim: hypercube(dim),
     ),
-    "prism": (1, lambda n: 2 * int(n), lambda n: prism(int(n))),
+    "prism": (1, lambda n: 2 * n, lambda n: prism(n)),
 }
 _FAMILIES["gp"] = _FAMILIES["gen-petersen"]
+
+
+def _integer(value: object, what: str) -> int:
+    """value itself when it is an int and not a bool: int() would coerce a
+    float, string or bool into a different member than the one asked for."""
+    if type(value) is not int:
+        raise FamilyParameterError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def build_family(kind: str, *params) -> Graph:
     """Build a named family member; raises FamilyParameterError on bad input.
 
     ``circulant`` takes (n, lengths) where lengths is an iterable of ints;
-    all other families take plain integers.
+    all other families take plain integers. Integers are taken as given:
+    a float, string or bool is refused, never coerced.
     """
     if kind not in _FAMILIES:
         known = ", ".join(sorted(_FAMILIES))
@@ -252,6 +259,9 @@ def build_family(kind: str, *params) -> Graph:
     arity, order, builder = _FAMILIES[kind]
     if len(params) != arity:
         raise FamilyParameterError(f"family {kind!r} takes {arity} parameter(s)")
+    # CirculantSpec checks a circulant's lengths
+    for p in params[:1] if kind == "circulant" else params:
+        _integer(p, f"{kind!r} parameter")
     try:
         if order(*params) >= MAX_ORDER:
             raise FamilyParameterError(
@@ -272,15 +282,17 @@ def build_family(kind: str, *params) -> Graph:
 
 @dataclass(frozen=True, slots=True)
 class CirculantSpec:
-    """Order n and a sorted set of connection lengths in 1..n//2."""
+    """Order n and a sorted set of connection lengths in 1..n//2. The order
+    and every length must be ints (not bools); the lengths may come as any
+    iterable."""
 
     n: int
     lengths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        if _integer(self.n, "circulant order") < 1:
             raise FamilyParameterError("circulant order must be positive")
-        norm = tuple(sorted(set(int(d) for d in self.lengths)))
+        norm = tuple(sorted({_integer(d, "connection length") for d in self.lengths}))
         object.__setattr__(self, "lengths", norm)
         if not norm:
             raise FamilyParameterError("connection set must be non-empty")

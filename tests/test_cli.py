@@ -91,7 +91,7 @@ class TestSolve:
         pytest.param(["census"], [g6.encode(bc.complete(4)), "B"], id="census-bad-second-line"),
         # and before the member is built, whether or not it needs the solver
         pytest.param(["family", "circulant", "12", "1,6"], None, id="family-theorem"),
-        pytest.param(["family", "circulant", "16", "1,3,8"], None, id="family-solver"),
+        pytest.param(["family", "circulant", "12", "1,2,6"], None, id="family-solver"),
     ])
     def test_nan_budget_is_refused(self, capsys, tmp_path, argv, lines):
         # a NaN deadline would never pass, silently lifting the time budget
@@ -213,6 +213,15 @@ class TestCensus:
         code, out, _ = run(capsys, "solve", "complete", "2")
         assert code == 0 and jline(out)["status"] == "sat"
 
+    def test_bad_line_ends_the_stream_after_earlier_results(self, capsys, tmp_path):
+        # lines are read as they are solved: a malformed last line exits 2
+        # after the results of every line before it
+        p = tmp_path / "mix.g6"
+        p.write_text(g6.encode(bc.complete(2)) + "\n" + g6.encode(bc.star(4)) + "\nB\n")
+        code, out, err = run(capsys, "census", "--input", str(p), "--workers", "1")
+        assert code == 2 and err.startswith("error: ")
+        assert [json.loads(line)["status"] for line in out.splitlines()] == ["sat", "unsat"]
+
     def test_tsv(self, capsys, tmp_path):
         p = tmp_path / "one.g6"
         p.write_text(g6.encode(bc.complete(2)) + "\n")
@@ -237,7 +246,8 @@ class TestFamily:
         assert jline(out)["verdict"] == "no"
 
     def test_unknown_falls_back_to_solver(self, capsys):
-        code, out, _ = run(capsys, "family", "circulant", "16", "1,3,8")
+        # the quintic open case with nullity 2: no cited criterion decides it
+        code, out, _ = run(capsys, "family", "circulant", "12", "1,2,6")
         data = jline(out)
         assert data["provenance"] == "solver"
         assert data["verdict"] in ("yes", "no")
@@ -247,11 +257,20 @@ class TestFamily:
             assert bc.verify_cnb(g, bc.Coloring.from_text(data["witness"]))
 
     def test_solver_fallback_out_of_budget_exits_3(self, capsys):
-        code, out, _ = run(capsys, "family", "circulant", "16", "1,3,8", "--budget-nodes", "1")
+        code, out, _ = run(capsys, "family", "circulant", "12", "1,2,6", "--budget-nodes", "1")
         data = jline(out)
         assert code == 3
         assert (data["verdict"], data["reason"]) == ("unknown", "search budget exhausted")
         assert (data["theorem"], data["witness"], data["provenance"]) == (None, None, "solver")
+
+    def test_quintic_open_case_is_a_theorem(self, capsys):
+        # order 0 mod 4 is past the paper's parity rule, but A + I is
+        # nonsingular, so the spectrum answers without the solver
+        code, out, _ = run(capsys, "family", "circulant", "16", "1,3,8")
+        data = jline(out)
+        assert code == 1
+        assert (data["verdict"], data["theorem"]) == ("no", "circulant-spectrum")
+        assert data["provenance"] == "theorem"
 
     def test_unknown_bipartite_resolved_by_solver(self, capsys):
         # even-by-even complete bipartite graphs carry no cited criterion,

@@ -1,5 +1,6 @@
 """Constructive colorers and characterizations against the exact solver."""
 
+import math
 import random
 
 import pytest
@@ -199,7 +200,8 @@ class TestQuinticCirculants:
         assert bc.characterize_quintic_circulant(14, 1, 3).value == "no"
         v = bc.characterize_quintic_circulant(12, 1, 5)
         assert v.value == "yes" and v.theorem == "half-period"
-        assert bc.characterize_quintic_circulant(16, 1, 3).value == "unknown"
+        v = bc.characterize_quintic_circulant(16, 1, 3)
+        assert (v.value, v.theorem) == ("no", "circulant-spectrum")
 
     def test_open_cases_stay_unknown_or_verify(self):
         for n in (8, 12, 16, 20, 24):
@@ -208,6 +210,24 @@ class TestQuinticCirculants:
                     v = bc.characterize_quintic_circulant(n, d1, d2)
                     if v.value == "yes":
                         assert bc.verify_cnb(bc.circulant(n, (d1, d2, n // 2)), v.witness)
+
+    def test_open_case_verdicts_agree_with_solve_to_32(self):
+        # reduced orders 0 mod 4 skip the parity rule and go on to the routes,
+        # the bridge and the spectrum; each member they decide agrees with solve
+        theorems = set()
+        for n in range(8, 33, 4):
+            for d1 in range(1, n // 2):
+                for d2 in range(d1 + 1, n // 2):
+                    if n // math.gcd(n, d1, d2) % 4:
+                        continue
+                    v = bc.characterize_quintic_circulant(n, d1, d2)
+                    if v.value == "unknown":
+                        continue
+                    theorems.add(v.theorem)
+                    status = bc.solve(bc.circulant(n, (d1, d2, n // 2)), "cnb").status
+                    assert status == ("sat" if v.value == "yes" else "unsat"), (n, d1, d2)
+        assert "quintic-parity" not in theorems
+        assert "circulant-spectrum" in theorems
 
 
 class TestGeneralizedPetersen:
@@ -564,3 +584,23 @@ class TestFamilyVerdicts:
             spec = bc.CirculantSpec(n, tuple(range(1, n // 2 + 1)))
             verdict = bc.characterize_circulant(spec, "nb")
             assert (verdict.value, verdict.theorem) == ("no", "closed-neighborhood-twins")
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: bc.characterize_family("cycle", (8.5,), "nb"), id="family-cycle"),
+        pytest.param(lambda: bc.characterize_family("star", (True,), "cnb"), id="family-star"),
+        pytest.param(lambda: bc.characterize_family("circulant", (12.7, (1, 6)), "cnb"),
+                     id="family-circulant-order"),
+        pytest.param(lambda: bc.characterize_family("circulant", (12, (1, "6")), "cnb"),
+                     id="family-circulant-length"),
+        pytest.param(lambda: bc.characterize_circulant(CirculantSpec(12.5, (1, 6)), "cnb"),
+                     id="circulant-order"),
+        pytest.param(lambda: bc.characterize_circulant(CirculantSpec(12, (1, 6.0)), "nb"),
+                     id="circulant-length"),
+        pytest.param(lambda: bc.characterize_quintic_circulant(16.0, 1, 3), id="quintic"),
+        pytest.param(lambda: bc.characterize_gp(8, 3.0), id="gp"),
+        pytest.param(lambda: bc.prism_colorings(8.0), id="prism"),
+    ])
+    def test_non_integer_parameters_are_refused(self, call):
+        # int() would coerce these into another member than the one judged
+        with pytest.raises(bc.FamilyParameterError, match="must be an integer"):
+            call()

@@ -145,6 +145,31 @@ class TestFamilies:
         with pytest.raises(bc.FamilyParameterError, match="262144"):
             bc.build_family(kind, *params)
 
+    @pytest.mark.parametrize("kind, params", [
+        ("cycle", (8.5,)), ("cycle", ("8",)), ("cycle", (8.0,)), ("star", (2.9,)),
+        ("path", (True,)), ("complete-bipartite", (2, 2.0)), ("gp", (8, "3")),
+        ("hypercube", (3.0,)), ("prism", (False,)), ("circulant", (12.7, (1, 6))),
+        ("circulant", (12, (1.0, 6))), ("circulant", (12, ("1", True))),
+        ("circulant", (12, "16")),
+    ])
+    def test_build_family_refuses_non_integers(self, kind, params):
+        # int() would build another member than the one asked for
+        with pytest.raises(bc.FamilyParameterError, match="must be an integer"):
+            bc.build_family(kind, *params)
+
+    @pytest.mark.parametrize("make", [bc.CirculantSpec, bc.circulant])
+    @pytest.mark.parametrize("n, lengths", [
+        (12.5, (1, 6)), ("12", (1, 6)), (True, (1,)), (12, ("1", True)), (12, (1, 6.0)),
+        (12, (True,)),
+    ])
+    def test_circulant_refuses_non_integers(self, make, n, lengths):
+        with pytest.raises(bc.FamilyParameterError, match="must be an integer"):
+            make(n, lengths)
+
+    def test_circulant_lengths_may_be_any_iterable(self):
+        spec = bc.CirculantSpec(12, iter([6, 1, 1]))
+        assert spec.lengths == (1, 6)
+
 
 class TestOperators:
     @given(graphs_st())

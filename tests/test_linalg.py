@@ -141,11 +141,13 @@ class TestCirculantNullity:
                         assert bc.solve(spec.build(), mode).status == "unsat", \
                             (n, lengths, mode)
 
-    def test_quintic_open_case_stays_unknown(self):
-        # lengths {1, 3, 8} on 16 vertices: A + I is nonsingular, but the
-        # quintic rule answers before the spectrum and keeps the case open
+    def test_quintic_open_case_reaches_the_spectrum(self):
+        # lengths {1, 3, 8} on 16 vertices: the paper's parity rule covers
+        # only orders 2 mod 4, so this member passes on to the spectrum,
+        # and A + I is nonsingular
         assert linalg.circulant_nullity(16, (1, 3, 8), "cnb") == 0
-        assert bc.characterize_quintic_circulant(16, 1, 3).value == "unknown"
+        v = bc.characterize_quintic_circulant(16, 1, 3)
+        assert (v.value, v.theorem) == ("no", "circulant-spectrum")
 
 
 class TestSolveStage:
