@@ -34,6 +34,7 @@ from .graphs import (
     CirculantSpec,
     FamilyParameterError,
     Graph,
+    _integer,
     build_family,
     cartesian,
     complement,
@@ -43,11 +44,6 @@ from .graphs import (
     spread,
     strong,
 )
-
-
-# circulant_nullity takes at most about 50 ms up to this order; past it the
-# cyclotomic divisions of highly composite orders grow to seconds
-_SPECTRUM_MAX_ORDER = 2048
 
 
 class NotColorableError(ValueError):
@@ -265,10 +261,47 @@ def _quintic_rule(spec: CirculantSpec) -> CharacterizationVerdict:
     )
 
 
+def _two_adic_rule(spec: CirculantSpec, mode: Mode) -> CharacterizationVerdict:
+    """Theorem circulant-2adic. Let a = v2(n) and f(x) = [cnb] + sum over
+    lengths d of (x^d + x^(n-d)), a length n/2 counted once. The circulant
+    is balanced in the mode exactly when Phi_(2^j) divides f for some
+    1 <= j <= a, and then "i red iff i mod 2^j < 2^(j-1)" is a witness; the
+    cubic rule and the quintic rule at orders 2 mod 4 are its j = 1 cases.
+
+    A coloring c in {+1, -1}^n, as c(x) = sum of c_i x^i, is balanced
+    exactly when f c = 0 mod x^n - 1: c(z) = 0 at each n-th root of unity z
+    with f(z) != 0. Necessity: if f(z) != 0 whenever z^(2^a) = 1 (f(1) > 0
+    always), c sums to 0 over each residue class mod 2^a, whose n / 2^a
+    entries are an odd number of +-1s: impossible. Sufficiency: f is
+    integral, so it vanishes at every primitive 2^j-th root; the block
+    pattern has period 2^j and changes sign under a shift by 2^(j-1), so
+    c(z) = 0 at every other n-th root z. Test: Phi_(2^j) = x^h + 1 with
+    h = 2^(j-1), and x^e = (-1)^(e // h) x^(e mod h) modulo it, so it
+    divides f exactly when the exponents of f, folded so, cancel. That is
+    O(|lengths|) per j, with no matrix and no bound on n.
+    """
+    n = spec.n
+    exponents = [0] if mode == "cnb" else []
+    exponents += [e for d in spec.lengths for e in {d, n - d}]  # n/2 once
+    h = 1
+    while n % (2 * h) == 0:
+        folded: dict[int, int] = {}
+        for e in exponents:
+            folded[e % h] = folded.get(e % h, 0) + (-1 if e // h % 2 else 1)
+        if not any(folded.values()):
+            return _yes(
+                f"Phi_{2 * h} divides the symbol: i red iff i mod {2 * h} < {h}",
+                "circulant-2adic", Coloring(n, _periodic_bits(n, (1,) * h + (0,) * h)),
+            )
+        h *= 2
+    return _no(f"no Phi_(2^j) with 2^j | {n}, j >= 1, divides the symbol", "circulant-2adic")
+
+
 def characterize_cubic_circulant(n: int, d: int) -> CharacterizationVerdict:
     """Full characterization of circulants with lengths {d, n/2}: after gcd
     reduction they are balanced-colorable in closed mode exactly when the
     reduced order is divisible by four."""
+    n, d = _integer(n, "circulant order"), _integer(d, "connection length")
     if n < 2 or n % 2 != 0:
         raise FamilyParameterError("order must be a positive even integer")
     if not 1 <= d <= n // 2 - 1:
@@ -285,9 +318,10 @@ def characterize_quintic_circulant(
     (colorable iff d1 and d2 have opposite parity). Orders 0 mod 4 are the
     case the paper leaves open: they go through the rest of
     characterize_circulant's chain (the constructive routes, the complement
-    bridge and the exact spectrum) and are unknown only when none of those
-    decides them.
+    bridge and last the 2-adic rule), which decides every one of them.
     """
+    n = _integer(n, "circulant order")
+    d1, d2 = _integer(d1, "connection length"), _integer(d2, "connection length")
     if n < 2 or n % 2 != 0:
         raise FamilyParameterError("order must be a positive even integer")
     if not 1 <= d1 < d2 < n // 2:
@@ -301,12 +335,12 @@ def characterize_circulant(spec: CirculantSpec, mode: Mode = "cnb") -> Character
     Applies the degree-parity obstruction, gcd reduction, the cubic
     characterization and the quintic one (orders 2 mod 4), the
     constructive routes, (once) the complement bridge to the opposite mode,
-    and last the exact spectrum: no balanced coloring exists when the
-    balance matrix is nonsingular (``linalg.circulant_nullity``). Each step
-    answers with its own theorem or passes to the next, so the quintic
-    open case (orders 0 mod 4) reaches the bridge and the spectrum too.
-    It answers from the spec alone, past the orders a member can be built
-    at, and verifies a witness on ``build_family``'s member.
+    and last the 2-adic rule (theorem ``circulant-2adic``), which decides
+    every circulant, so the verdict is never unknown. Each step answers
+    with its own theorem or passes to the next, so the quintic open case
+    (orders 0 mod 4) reaches the bridge and the 2-adic rule too. A "no"
+    comes from the spec alone, at any order; a "yes" verifies its witness
+    on ``build_family``'s member.
     """
     check_mode(mode)
     verdict = _circulant_verdict(spec, mode, bridge=True)
@@ -351,16 +385,8 @@ def _circulant_verdict(spec: CirculantSpec, mode: Mode, bridge: bool) -> Charact
         if inner.value != "unknown":
             why = f"complement circulant is {other}-decided: {inner.reason}"
             return replace(inner, reason=why)
-        # last, so that every cited criterion keeps its name and witness;
-        # imported on first use, like in solver.solve, to keep start-up short
-        from .linalg import circulant_nullity
-
-        if n <= _SPECTRUM_MAX_ORDER and circulant_nullity(n, spec.lengths, mode) == 0:
-            matrix = "A + I" if mode == "cnb" else "A"
-            return _no(
-                f"{matrix} is nonsingular: no cyclotomic Phi_m with m | {n} divides the symbol",
-                "circulant-spectrum",
-            )
+        # last, so that every cited criterion keeps its name and witness
+        return _two_adic_rule(spec, mode)
     return _UNKNOWN
 
 

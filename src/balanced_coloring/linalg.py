@@ -3,23 +3,10 @@
 Write a coloring as c in {+1, -1}^n (red +1, blue -1). Row v of M c, with
 M = A + I for closed neighborhoods (cnb) and M = A for open ones (nb), is
 the red-minus-blue count of v's neighborhood, so c is balanced exactly when
-M c = 0. Two tools use that linear structure.
+M c = 0.
 
-Circulants (``circulant_nullity``). A circulant's M is a polynomial in the
-cyclic shift, so its eigenvalues are f(zeta^j), j = 0..n-1, for the symbol
-f(x) = [cnb] + sum over lengths d of (x^d + x^(n-d)), a length d = n/2
-counted once, and zeta a primitive n-th root of unity. f has integer
-coefficients, so f(zeta^j) = 0 exactly when the minimal polynomial of
-zeta^j, the cyclotomic polynomial Phi_m with m = n / gcd(n, j), divides f;
-exactly phi(m) of the j have that m. The nullity of M (over the rationals,
-which equals its nullity over the complex numbers) is therefore the sum of
-phi(m) over the divisors m of n with Phi_m | f. Divisibility is tested by
-integer long division of f mod (x^m - 1) by the monic Phi_m. Standard
-source: Cvetkovic, Rowlinson and Simic, An Introduction to the Theory of
-Graph Spectra (2010), sections 1.1 and 3.
-
-Any graph (``kernel_verdict``). M is brought to row echelon form modulo
-the prime p = 2^61 - 1, and back substitution writes each pivot coordinate
+``kernel_verdict`` brings M to row echelon form modulo the prime
+p = 2^61 - 1, and back substitution writes each pivot coordinate
 of a kernel vector as a fixed linear form in the free ones. A search over
 the signs of the free coordinates checks each pivot row as soon as all of
 its free variables are set.
@@ -45,11 +32,10 @@ is returned.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 from .coloring import Coloring, Mode, _balance_rows, check_mode, verify
 from .graphs import Graph, spread
@@ -58,92 +44,7 @@ P = (1 << 61) - 1
 
 
 # ---------------------------------------------------------------------------
-# Circulants: the cyclotomic factors of the symbol
-# ---------------------------------------------------------------------------
-
-
-def _divmod_monic(num: list[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of integer polynomials (coefficient lists,
-    constant term first) by a monic divisor; only den's nonzero terms are
-    visited, so a stretched divisor such as Phi_m(x^s) costs what Phi_m does."""
-    num = list(num)
-    deg = len(den) - 1
-    terms = [(e, a) for e, a in enumerate(den[:deg]) if a]
-    quot = [0] * max(len(num) - deg, 0)
-    for i in range(len(num) - 1, deg - 1, -1):
-        c = num[i]
-        if c:
-            base = i - deg
-            quot[base] = c
-            for e, a in terms:
-                num[base + e] -= c * a
-            num[i] = 0
-    return quot, num[:deg]
-
-
-def _stretch(poly: Sequence[int], s: int) -> list[int]:
-    """poly(x^s)."""
-    out = [0] * ((len(poly) - 1) * s + 1)
-    out[::s] = poly
-    return out
-
-
-def _prime_factors(m: int) -> list[int]:
-    out = []
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            out.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
-@functools.cache
-def cyclotomic(m: int) -> tuple[int, ...]:
-    """Coefficients of the m-th cyclotomic polynomial, constant term first.
-
-    Phi_1 = x - 1; Phi_(r q)(x) = Phi_r(x^q) / Phi_r(x) for a prime q not
-    dividing r; and Phi_m(x) = Phi_r(x^(m / r)) for the radical r of m.
-    """
-    poly: list[int] = [-1, 1]
-    radical = 1
-    for q in _prime_factors(m):
-        poly = _divmod_monic(_stretch(poly, q), poly)[0]
-        radical *= q
-    return tuple(_stretch(poly, m // radical))
-
-
-def circulant_nullity(n: int, lengths: Iterable[int], mode: Mode) -> int:
-    """Nullity of A + I (cnb) or A (nb) for the circulant on Z_n whose
-    vertex i is adjacent to i +- d for each connection length d in 1..n/2.
-
-    The sum of phi(m) over the divisors m of n for which Phi_m divides the
-    symbol f(x) = [cnb] + sum_d (x^d + x^(n-d)) (module docstring).
-    """
-    check_mode(mode)
-    lengths = set(lengths)
-    total = 0
-    for m in range(1, n + 1):
-        if n % m:
-            continue
-        folded = [0] * m  # f mod (x^m - 1)
-        folded[0] = 1 if mode == "cnb" else 0
-        for d in lengths:
-            folded[d % m] += 1
-            if 2 * d != n:
-                folded[-d % m] += 1
-        phi = cyclotomic(m)
-        if not any(_divmod_monic(folded, phi)[1]):
-            total += len(phi) - 1
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Any graph: echelon form mod p and the sign search over its kernel
+# Echelon form mod p and the sign search over its kernel
 # ---------------------------------------------------------------------------
 
 

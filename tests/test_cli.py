@@ -91,7 +91,8 @@ class TestSolve:
         pytest.param(["census"], [g6.encode(bc.complete(4)), "B"], id="census-bad-second-line"),
         # and before the member is built, whether or not it needs the solver
         pytest.param(["family", "circulant", "12", "1,6"], None, id="family-theorem"),
-        pytest.param(["family", "circulant", "12", "1,2,6"], None, id="family-solver"),
+        pytest.param(["family", "complete-bipartite", "4", "4", "--mode", "nb"], None,
+                     id="family-solver"),
     ])
     def test_nan_budget_is_refused(self, capsys, tmp_path, argv, lines):
         # a NaN deadline would never pass, silently lifting the time budget
@@ -245,41 +246,32 @@ class TestFamily:
         assert code == 1
         assert jline(out)["verdict"] == "no"
 
-    def test_unknown_falls_back_to_solver(self, capsys):
-        # the quintic open case with nullity 2: no cited criterion decides it
-        code, out, _ = run(capsys, "family", "circulant", "12", "1,2,6")
-        data = jline(out)
-        assert data["provenance"] == "solver"
-        assert data["verdict"] in ("yes", "no")
-        if data["verdict"] == "yes":
-            assert code == 0
-            g = g6.decode(data["graph6"])
-            assert bc.verify_cnb(g, bc.Coloring.from_text(data["witness"]))
-
     def test_solver_fallback_out_of_budget_exits_3(self, capsys):
-        code, out, _ = run(capsys, "family", "circulant", "12", "1,2,6", "--budget-nodes", "1")
+        code, out, _ = run(capsys, "family", "complete-bipartite", "4", "4", "--mode", "nb",
+                           "--budget-nodes", "1")
         data = jline(out)
         assert code == 3
         assert (data["verdict"], data["reason"]) == ("unknown", "search budget exhausted")
         assert (data["theorem"], data["witness"], data["provenance"]) == (None, None, "solver")
 
     def test_quintic_open_case_is_a_theorem(self, capsys):
-        # order 0 mod 4 is past the paper's parity rule, but A + I is
-        # nonsingular, so the spectrum answers without the solver
+        # order 0 mod 4 is past the paper's parity rule, but no Phi_(2^j)
+        # divides the symbol, so the 2-adic rule answers without the solver
         code, out, _ = run(capsys, "family", "circulant", "16", "1,3,8")
         data = jline(out)
         assert code == 1
-        assert (data["verdict"], data["theorem"]) == ("no", "circulant-spectrum")
+        assert (data["verdict"], data["theorem"]) == ("no", "circulant-2adic")
         assert data["provenance"] == "theorem"
 
     def test_unknown_bipartite_resolved_by_solver(self, capsys):
-        # even-by-even complete bipartite graphs carry no cited criterion,
-        # so the solver supplies the witness
+        # even-by-even complete bipartite graphs carry no cited criterion in
+        # nb, so the verdict falls back to the solver, which supplies the witness
         code, out, _ = run(capsys, "family", "complete-bipartite", "2", "2",
                            "--mode", "nb")
         assert code == 0
         data = jline(out)
         assert data["verdict"] == "yes" and data["provenance"] == "solver"
+        assert data["theorem"] is None
         g = g6.decode(data["graph6"])
         assert bc.verify_nb(g, bc.Coloring.from_text(data["witness"]))
 
@@ -439,12 +431,19 @@ class TestBrokenPipe:
 
 def test_cli_import_leaves_linalg_unloaded():
     # every module imported at start-up is paid on each CLI launch; linalg
-    # is imported on first use only, and constructions imports from solver
+    # is imported on first use only, and constructions imports from solver;
+    # circulant verdicts, from the library and from `family`, need no linalg
     src = os.path.dirname(os.path.dirname(bc.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, balanced_coloring.cli; print('balanced_coloring.linalg' in sys.modules)"
+    code = (
+        "import sys, balanced_coloring as bc, balanced_coloring.cli as cli\n"
+        "v = bc.characterize_circulant(bc.CirculantSpec(16, (1, 3, 8)), 'cnb')\n"
+        "code = cli.main(['family', 'circulant', '16', '1,3,8'])\n"
+        "print(v.theorem, code, 'balanced_coloring.linalg' in sys.modules)"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
     )
-    assert (proc.returncode, proc.stdout.strip()) == (0, "False")
+    assert proc.returncode == 0
+    assert proc.stdout.strip().splitlines()[-1] == "circulant-2adic 1 False"

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import balanced_coloring as bc
-from balanced_coloring import CirculantSpec, Coloring
+from balanced_coloring import CirculantSpec, Coloring, constructions, linalg
 from balanced_coloring.coloring import leaf_overload
 
 from conftest import brute_force_masks, random_graph
@@ -201,19 +201,30 @@ class TestQuinticCirculants:
         v = bc.characterize_quintic_circulant(12, 1, 5)
         assert v.value == "yes" and v.theorem == "half-period"
         v = bc.characterize_quintic_circulant(16, 1, 3)
-        assert (v.value, v.theorem) == ("no", "circulant-spectrum")
+        assert (v.value, v.theorem) == ("no", "circulant-2adic")
 
-    def test_open_cases_stay_unknown_or_verify(self):
+    def test_open_cases_are_decided_and_verify(self):
         for n in (8, 12, 16, 20, 24):
             for d1 in range(1, n // 2):
                 for d2 in range(d1 + 1, n // 2):
                     v = bc.characterize_quintic_circulant(n, d1, d2)
+                    assert v.value != "unknown", (n, d1, d2)
                     if v.value == "yes":
                         assert bc.verify_cnb(bc.circulant(n, (d1, d2, n // 2)), v.witness)
 
+    def test_quintic_open_case_reaches_the_2adic_rule(self):
+        # lengths {1, 3, 8} on 16 vertices: the paper's parity rule covers
+        # only orders 2 mod 4, so this member passes on to the 2-adic rule;
+        # the symbol 1 + x + x^3 + x^8 + x^13 + x^15 is -2 at -1, 2 at i,
+        # and nonzero at the primitive 8th and 16th roots too
+        v = bc.characterize_quintic_circulant(16, 1, 3)
+        assert (v.value, v.theorem) == ("no", "circulant-2adic")
+        assert "2^j | 16" in v.reason
+        assert bc.solve(bc.circulant(16, (1, 3, 8)), "cnb").status == "unsat"
+
     def test_open_case_verdicts_agree_with_solve_to_32(self):
         # reduced orders 0 mod 4 skip the parity rule and go on to the routes,
-        # the bridge and the spectrum; each member they decide agrees with solve
+        # the bridge and the 2-adic rule; each verdict agrees with solve
         theorems = set()
         for n in range(8, 33, 4):
             for d1 in range(1, n // 2):
@@ -221,13 +232,38 @@ class TestQuinticCirculants:
                     if n // math.gcd(n, d1, d2) % 4:
                         continue
                     v = bc.characterize_quintic_circulant(n, d1, d2)
-                    if v.value == "unknown":
-                        continue
                     theorems.add(v.theorem)
                     status = bc.solve(bc.circulant(n, (d1, d2, n // 2)), "cnb").status
                     assert status == ("sat" if v.value == "yes" else "unsat"), (n, d1, d2)
         assert "quintic-parity" not in theorems
-        assert "circulant-spectrum" in theorems
+        assert "circulant-2adic" in theorems
+
+    def test_open_case_agrees_with_kernel_to_64(self):
+        # linalg.kernel_verdict on the built member is an exact oracle
+        for n in range(8, 65, 4):
+            for d1 in range(1, n // 2):
+                for d2 in range(d1 + 1, n // 2):
+                    if n // math.gcd(n, d1, d2) % 4:
+                        continue
+                    v = bc.characterize_quintic_circulant(n, d1, d2)
+                    kernel = linalg.kernel_verdict(bc.circulant(n, (d1, d2, n // 2)), "cnb")
+                    assert kernel.status == ("sat" if v.value == "yes" else "unsat"), \
+                        (n, d1, d2)
+
+    def test_past_the_old_order_cap(self, monkeypatch):
+        # 3 * 2^12 vertices; a "yes" needs Phi_(2^j) | f, here at j = 12:
+        # d2 = 2^11 - d1 makes the symbol vanish at the primitive 2^12-th roots
+        n = 3 << 12
+        yes = bc.characterize_quintic_circulant(n, 1, 2047)
+        assert (yes.value, yes.theorem) == ("yes", "circulant-2adic")
+        assert bc.verify_cnb(bc.circulant(n, (1, 2047, n // 2)), yes.witness)
+
+        def no_member(*args):
+            raise AssertionError("a no needs no member")
+
+        monkeypatch.setattr(constructions, "build_family", no_member)
+        no = bc.characterize_quintic_circulant(n, 1, 3)
+        assert (no.value, no.theorem) == ("no", "circulant-2adic")
 
 
 class TestGeneralizedPetersen:
@@ -597,6 +633,10 @@ class TestFamilyVerdicts:
         pytest.param(lambda: bc.characterize_circulant(CirculantSpec(12, (1, 6.0)), "nb"),
                      id="circulant-length"),
         pytest.param(lambda: bc.characterize_quintic_circulant(16.0, 1, 3), id="quintic"),
+        pytest.param(lambda: bc.characterize_quintic_circulant(16, "1", 3),
+                     id="quintic-length"),
+        pytest.param(lambda: bc.characterize_cubic_circulant("12", 1), id="cubic-order"),
+        pytest.param(lambda: bc.characterize_cubic_circulant(12, None), id="cubic-length"),
         pytest.param(lambda: bc.characterize_gp(8, 3.0), id="gp"),
         pytest.param(lambda: bc.prism_colorings(8.0), id="prism"),
     ])

@@ -1,6 +1,6 @@
-"""The exact linear stage: cyclotomic nullity of circulants, the echelon form
-modulo 2^61 - 1, the kernel sign search, and how solve uses them; checked
-against the brute-force oracle, against each other, and against solve."""
+"""The exact linear stage: the echelon form modulo 2^61 - 1, the kernel sign
+search, and how solve uses them; checked against the brute-force oracle,
+against each other, against solve, and on circulants against the 2-adic rule."""
 
 import itertools
 import random
@@ -9,7 +9,8 @@ import time
 import pytest
 
 import balanced_coloring as bc
-from balanced_coloring import Budget, linalg, solver
+from balanced_coloring import Budget, Coloring, linalg, solver
+from balanced_coloring.constructions import _two_adic_rule
 from balanced_coloring.graphs import CirculantSpec
 
 from conftest import brute_force_masks, random_graph
@@ -58,28 +59,6 @@ def _random_regular(n, d, rng):
     return bc.Graph.from_edges(n, edges)
 
 
-class TestCyclotomic:
-    def test_small_polynomials(self):
-        assert linalg.cyclotomic(1) == (-1, 1)
-        assert linalg.cyclotomic(2) == (1, 1)
-        assert linalg.cyclotomic(4) == (1, 0, 1)
-        assert linalg.cyclotomic(6) == (1, -1, 1)
-        assert linalg.cyclotomic(12) == (1, 0, -1, 0, 1)
-
-    @pytest.mark.parametrize("m", [1, 8, 15, 30, 36, 105])
-    def test_divisors_multiply_to_x_m_minus_1(self, m):
-        prod = [1]
-        for d in range(1, m + 1):
-            if m % d == 0:
-                phi = linalg.cyclotomic(d)
-                out = [0] * (len(prod) + len(phi) - 1)
-                for i, a in enumerate(prod):
-                    for j, b in enumerate(phi):
-                        out[i + j] += a * b
-                prod = out
-        assert prod == [-1] + [0] * (m - 1) + [1]
-
-
 class TestKernelVerdict:
     @pytest.mark.parametrize("n", range(7))
     def test_every_labeled_graph_to_order_6(self, n):
@@ -107,15 +86,35 @@ class TestKernelVerdict:
 
 
 class TestCirculantNullity:
+    """Circulant kernels against the 2-adic rule (constructions._two_adic_rule).
+    When Phi_(2^j) divides the symbol, the block pattern of period 2^j is
+    balanced and its shifts span 2^(j-1) dimensions of the kernel; when the
+    rule answers no, no block pattern is balanced; and its verdict, alone
+    and at the end of characterize_circulant's chain, agrees with solve."""
+
+    @staticmethod
+    def _blocks(n):
+        h = 1
+        while n % (2 * h) == 0:
+            yield h, Coloring(n, sum(1 << i for i in range(n) if i % (2 * h) < h))
+            h *= 2
+
     @pytest.mark.parametrize("n", range(1, 25))
     def test_every_circulant_to_order_24(self, n):
         pool = range(1, n // 2 + 1)
         for k in range(1, len(pool) + 1):
             for lengths in itertools.combinations(pool, k):
-                g = CirculantSpec(n, lengths).build()
+                spec = CirculantSpec(n, lengths)
+                g = spec.build()
                 for mode in ("cnb", "nb"):
-                    assert linalg.circulant_nullity(n, lengths, mode) == \
-                        _echelon_nullity(g, mode), (n, lengths, mode)
+                    rule = _two_adic_rule(spec, mode)
+                    balanced = [(h, c) for h, c in self._blocks(n) if bc.verify(g, c, mode)]
+                    if rule.value == "no":
+                        assert not balanced, (n, lengths, mode)
+                        continue
+                    h, block = balanced[0]
+                    assert rule.witness == block, (n, lengths, mode)
+                    assert _echelon_nullity(g, mode) >= h, (n, lengths, mode)
 
     def test_sampled_circulants_to_order_64(self):
         rng = random.Random(64)
@@ -123,31 +122,25 @@ class TestCirculantNullity:
             pool = list(range(1, n // 2 + 1))
             for _ in range(4):
                 lengths = tuple(sorted(rng.sample(pool, rng.randrange(1, len(pool) + 1))))
-                g = CirculantSpec(n, lengths).build()
-                for mode in ("cnb", "nb"):
-                    assert linalg.circulant_nullity(n, lengths, mode) == \
-                        _echelon_nullity(g, mode), (n, lengths, mode)
+                self._agrees_with_solve(CirculantSpec(n, lengths))
 
     @pytest.mark.parametrize("n", range(1, 25))
     def test_spectrum_verdicts_agree_with_solve_to_24(self, n):
         pool = range(1, n // 2 + 1)
         for k in range(1, len(pool) + 1):
             for lengths in itertools.combinations(pool, k):
-                spec = CirculantSpec(n, lengths)
-                for mode in ("cnb", "nb"):
-                    verdict = bc.characterize_circulant(spec, mode)
-                    if verdict.theorem == "circulant-spectrum":
-                        assert verdict.value == "no"
-                        assert bc.solve(spec.build(), mode).status == "unsat", \
-                            (n, lengths, mode)
+                self._agrees_with_solve(CirculantSpec(n, lengths))
 
-    def test_quintic_open_case_reaches_the_spectrum(self):
-        # lengths {1, 3, 8} on 16 vertices: the paper's parity rule covers
-        # only orders 2 mod 4, so this member passes on to the spectrum,
-        # and A + I is nonsingular
-        assert linalg.circulant_nullity(16, (1, 3, 8), "cnb") == 0
-        v = bc.characterize_quintic_circulant(16, 1, 3)
-        assert (v.value, v.theorem) == ("no", "circulant-spectrum")
+    @staticmethod
+    def _agrees_with_solve(spec):
+        g = spec.build()
+        for mode in ("cnb", "nb"):
+            expected = {"sat": "yes", "unsat": "no"}[bc.solve(g, mode).status]
+            verdict = bc.characterize_circulant(spec, mode)
+            assert verdict.value == expected, (spec, mode, verdict)
+            assert _two_adic_rule(spec, mode).value == expected, (spec, mode)
+            if expected == "yes":
+                assert bc.verify(g, verdict.witness, mode), (spec, mode)
 
 
 class TestSolveStage:
