@@ -246,6 +246,18 @@ class TestFamily:
         assert code == 1
         assert jline(out)["verdict"] == "no"
 
+    def test_unknown_falls_back_to_solver(self, capsys):
+        # no cited criterion decides an even-sided complete bipartite graph
+        # in nb, so the verdict comes from the solver and its witness verifies
+        code, out, _ = run(capsys, "family", "complete-bipartite", "4", "2", "--mode", "nb")
+        data = jline(out)
+        assert data["provenance"] == "solver"
+        assert data["verdict"] in ("yes", "no")
+        if data["verdict"] == "yes":
+            assert code == 0
+            g = g6.decode(data["graph6"])
+            assert bc.verify_nb(g, bc.Coloring.from_text(data["witness"]))
+
     def test_solver_fallback_out_of_budget_exits_3(self, capsys):
         code, out, _ = run(capsys, "family", "complete-bipartite", "4", "4", "--mode", "nb",
                            "--budget-nodes", "1")
