@@ -294,7 +294,9 @@ def _two_adic_rule(spec: CirculantSpec, mode: Mode) -> CharacterizationVerdict:
                 "circulant-2adic", Coloring(n, _periodic_bits(n, (1,) * h + (0,) * h)),
             )
         h *= 2
-    return _no(f"no Phi_(2^j) with 2^j | {n}, j >= 1, divides the symbol", "circulant-2adic")
+    return _no(f"no Phi_(2^j) with 1 <= j <= a = {h.bit_length() - 1} divides the symbol, so "
+               f"a balanced coloring would sum to 0 on each residue class mod 2^a = {h}, and "
+               f"each class has an odd number {n // h} of vertices", "circulant-2adic")
 
 
 def characterize_cubic_circulant(n: int, d: int) -> CharacterizationVerdict:
@@ -317,8 +319,19 @@ def characterize_quintic_circulant(
     After gcd reduction, orders 2 mod 4 are decided by the parity rule
     (colorable iff d1 and d2 have opposite parity). Orders 0 mod 4 are the
     case the paper leaves open: they go through the rest of
-    characterize_circulant's chain (the constructive routes, the complement
-    bridge and last the 2-adic rule), which decides every one of them.
+    characterize_circulant's chain (the constructive routes, then the
+    2-adic rule), which decides every one of them.
+
+    Its j = a case has a closed form. For reduced {d1, d2, n/2} with 4 | n
+    and a = v2(n), Phi_(2^a) divides the symbol f exactly when
+    d2 = 2^(a-1) +- d1 (mod 2^a), and the block pattern of period 2^a is a
+    witness exactly then. Proof: n/2 is 2^(a-1) times an odd number, so
+    zeta^(n/2) = -1 at a primitive 2^a-th root zeta = e^(i t), and
+    f(zeta) = 1 - 1 + 2cos(d1 t) + 2cos(d2 t). That is 0 exactly when
+    d2 t = +-(pi - d1 t) mod 2 pi, that is d2 = 2^(a-1) - d1 or
+    d2 = d1 - 2^(a-1) = d1 + 2^(a-1) (mod 2^a). f is integral, so it then
+    vanishes at every primitive 2^a-th root, the only n-th roots where the
+    block pattern's transform is nonzero.
     """
     n = _integer(n, "circulant order")
     d1, d2 = _integer(d1, "connection length"), _integer(d2, "connection length")
@@ -334,22 +347,22 @@ def characterize_circulant(spec: CirculantSpec, mode: Mode = "cnb") -> Character
 
     Applies the degree-parity obstruction, gcd reduction, the cubic
     characterization and the quintic one (orders 2 mod 4), the
-    constructive routes, (once) the complement bridge to the opposite mode,
-    and last the 2-adic rule (theorem ``circulant-2adic``), which decides
-    every circulant, so the verdict is never unknown. Each step answers
-    with its own theorem or passes to the next, so the quintic open case
-    (orders 0 mod 4) reaches the bridge and the 2-adic rule too. A "no"
-    comes from the spec alone, at any order; a "yes" verifies its witness
-    on ``build_family``'s member.
+    constructive routes, and last the 2-adic rule (theorem
+    ``circulant-2adic``), which decides every circulant, so the verdict is
+    never unknown. Each step answers with its own theorem or passes to the
+    next, so the quintic open case (orders 0 mod 4) reaches the 2-adic rule
+    too. A "no" comes from the spec alone, at any order, in
+    O(|lengths| log n); a "yes" verifies its witness on ``build_family``'s
+    member.
     """
     check_mode(mode)
-    verdict = _circulant_verdict(spec, mode, bridge=True)
+    verdict = _circulant_verdict(spec, mode)
     if verdict.witness is None:
         return verdict
     return _checked(verdict, build_family("circulant", spec.n, spec.lengths), mode)
 
 
-def _circulant_verdict(spec: CirculantSpec, mode: Mode, bridge: bool) -> CharacterizationVerdict:
+def _circulant_verdict(spec: CirculantSpec, mode: Mode) -> CharacterizationVerdict:
     n = spec.n
     has_half = n % 2 == 0 and n // 2 in spec.lengths
     if mode == "cnb" and not has_half:
@@ -358,7 +371,7 @@ def _circulant_verdict(spec: CirculantSpec, mode: Mode, bridge: bool) -> Charact
         return _no("every degree is odd, open balance needs even degrees", "degree-parity")
     t, reduced = circulant_reduce(spec)
     if t > 1:
-        inner = _circulant_verdict(reduced, mode, bridge)
+        inner = _circulant_verdict(reduced, mode)
         lifted = None if inner.witness is None else _lift_reduced_coloring(inner.witness, t, n)
         return replace(inner, reason=f"{inner.reason} (gcd reduction by {t})", witness=lifted)
     # past the parity checks, cnb implies the half length is present; the
@@ -372,22 +385,7 @@ def _circulant_verdict(spec: CirculantSpec, mode: Mode, bridge: bool) -> Charact
     if routes:
         name, col = routes[0]
         return _yes(f"{name} construction applies", name, col)
-    # A complete circulant has an edgeless complement, so there is nothing
-    # to bridge to; the complete-graph theorem decides it. Only odd orders
-    # in nb mode reach this point: in cnb odd orders stop at degree parity,
-    # even orders at the cubic/quintic rules or a route; in nb even orders
-    # stop at degree parity.
-    if len(spec.lengths) == n // 2:
-        return _complete_rule(n, mode)
-    if bridge:
-        other: Mode = "nb" if mode == "cnb" else "cnb"
-        inner = _circulant_verdict(spec.complement_spec(), other, bridge=False)
-        if inner.value != "unknown":
-            why = f"complement circulant is {other}-decided: {inner.reason}"
-            return replace(inner, reason=why)
-        # last, so that every cited criterion keeps its name and witness
-        return _two_adic_rule(spec, mode)
-    return _UNKNOWN
+    return _two_adic_rule(spec, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -545,25 +543,12 @@ def _family_verdict(
     return g, _checked(_family_rule(kind, params, mode), g, mode)
 
 
-def _complete_rule(n: int, mode: Mode) -> CharacterizationVerdict:
-    if mode == "cnb":  # odd orders fail degree parity
-        return _yes(
-            f"complete graph of even order {n}", "complete-even", Coloring(n, (1 << (n // 2)) - 1)
-        )
-    if n <= 1:
-        return _yes("at most one vertex", "complete-trivial", Coloring(n, 0))
-    return _no(
-        "all closed neighborhoods coincide, forcing one color on everything",
-        "closed-neighborhood-twins",
-    )
-
-
 def _family_rule(kind: str, params: tuple, mode: Mode) -> CharacterizationVerdict:
     """The family's theorems for a member that passed the generic
     certificates; each comment names the members those already answered."""
     if kind == "circulant":
         n, lengths = params
-        return _circulant_verdict(CirculantSpec(n, tuple(lengths)), mode, bridge=True)
+        return _circulant_verdict(CirculantSpec(n, tuple(lengths)), mode)
     if kind in ("gp", "gen-petersen"):  # nb: 3-regular
         return _gp_rule(*params)
     if kind == "complete-bipartite":  # nb: an odd side
@@ -582,8 +567,14 @@ def _family_rule(kind: str, params: tuple, mode: Mode) -> CharacterizationVerdic
             return _family_rule("empty", (m + n,), mode)
         return _UNKNOWN
     (n,) = params
-    if kind == "complete":
-        return _complete_rule(n, mode)
+    if kind == "complete":  # cnb: odd orders; nb: even orders above 0
+        if mode == "cnb":
+            half = Coloring(n, (1 << (n // 2)) - 1)
+            return _yes(f"complete graph of even order {n}", "complete-even", half)
+        if n <= 1:
+            return _yes("at most one vertex", "complete-trivial", Coloring(n, 0))
+        why = "all closed neighborhoods coincide, forcing one color on everything"
+        return _no(why, "closed-neighborhood-twins")
     if kind == "cycle":  # cnb: even degrees
         if n % 4 == 0:
             return _yes(

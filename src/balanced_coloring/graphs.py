@@ -320,12 +320,6 @@ class CirculantSpec:
         s3 = sum(1 for d in below if d % 2 == 1)
         return s1, s2, s3
 
-    def complement_spec(self) -> CirculantSpec:
-        """Connection set {1..n//2} minus this one (complement graph)."""
-        present = set(self.lengths)
-        rest = tuple(d for d in range(1, self.n // 2 + 1) if d not in present)
-        return CirculantSpec(self.n, rest)
-
     def build(self) -> Graph:
         rows = [0] * self.n
         for d in self.lengths:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -219,12 +220,12 @@ class TestQuinticCirculants:
         # and nonzero at the primitive 8th and 16th roots too
         v = bc.characterize_quintic_circulant(16, 1, 3)
         assert (v.value, v.theorem) == ("no", "circulant-2adic")
-        assert "2^j | 16" in v.reason
+        assert "mod 2^a = 16" in v.reason and "odd number 1 of" in v.reason
         assert bc.solve(bc.circulant(16, (1, 3, 8)), "cnb").status == "unsat"
 
     def test_open_case_verdicts_agree_with_solve_to_32(self):
-        # reduced orders 0 mod 4 skip the parity rule and go on to the routes,
-        # the bridge and the 2-adic rule; each verdict agrees with solve
+        # reduced orders 0 mod 4 skip the parity rule and go on to the routes
+        # and then the 2-adic rule; each verdict agrees with solve
         theorems = set()
         for n in range(8, 33, 4):
             for d1 in range(1, n // 2):
@@ -264,6 +265,40 @@ class TestQuinticCirculants:
         monkeypatch.setattr(constructions, "build_family", no_member)
         no = bc.characterize_quintic_circulant(n, 1, 3)
         assert (no.value, no.theorem) == ("no", "circulant-2adic")
+
+    def test_no_near_the_bound_reads_only_the_lengths(self, monkeypatch):
+        # 3 * 2^18 vertices: a "no" neither builds the member nor walks the
+        # n/2 - 3 lengths it lacks
+        def no_member(*args):
+            raise AssertionError("a no needs no member")
+
+        monkeypatch.setattr(constructions, "build_family", no_member)
+        n = 3 << 18
+        tracemalloc.start()
+        try:
+            verdict = bc.characterize_circulant(CirculantSpec(n, (1, 3, n // 2)), "cnb")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (verdict.value, verdict.theorem) == ("no", "circulant-2adic")
+        assert peak < 1 << 20, peak
+
+    def test_open_case_closed_form_at_j_equal_a(self):
+        # Phi_(2^a) | f exactly when d2 = 2^(a-1) +- d1 (mod 2^a), and the
+        # block pattern of period 2^a is balanced exactly then
+        congruent = 0
+        for n in range(4, 129, 4):
+            p = n & -n
+            block = Coloring(n, sum(1 << i for i in range(n) if i % p < p // 2))
+            for d1 in range(1, n // 2):
+                for d2 in range(d1 + 1, n // 2):
+                    if math.gcd(n, d1, d2) > 1:
+                        continue
+                    g = bc.build_family("circulant", n, (d1, d2, n // 2))
+                    holds = (d2 - d1) % p == p // 2 or (d2 + d1) % p == p // 2
+                    assert bc.verify_cnb(g, block) == holds, (n, d1, d2)
+                    congruent += holds
+        assert congruent > 0
 
 
 class TestGeneralizedPetersen:
@@ -613,13 +648,14 @@ class TestFamilyVerdicts:
                 checked += 1
         assert checked == 352
 
-    def test_odd_complete_circulant_nb_is_twins_no(self):
-        # the complement is edgeless, so the bridge has nowhere to go; the
-        # complete-graph theorem decides instead of the solver
+    def test_odd_complete_circulant_nb_is_2adic_no(self):
+        # an odd order has a = 0: the one residue class mod 1 is every
+        # vertex, an odd number of them, so no coloring sums to 0 on it
         for n in range(3, 14, 2):
             spec = bc.CirculantSpec(n, tuple(range(1, n // 2 + 1)))
             verdict = bc.characterize_circulant(spec, "nb")
-            assert (verdict.value, verdict.theorem) == ("no", "closed-neighborhood-twins")
+            assert (verdict.value, verdict.theorem) == ("no", "circulant-2adic")
+            assert f"mod 2^a = 1, and each class has an odd number {n} of" in verdict.reason
 
     @pytest.mark.parametrize("call", [
         pytest.param(lambda: bc.characterize_family("cycle", (8.5,), "nb"), id="family-cycle"),
