@@ -163,8 +163,11 @@ def color_lexicographic(g: Graph, h: Graph, ch: Coloring) -> Coloring:
 
 
 def _periodic_bits(n: int, pattern: tuple[int, ...]) -> int:
-    """Bit i set iff pattern[i % len(pattern)] is nonzero."""
-    return sum(1 << i for i in range(n) if pattern[i % len(pattern)])
+    """Bit i set iff pattern[i % len(pattern)] is nonzero, parsed once from
+    the repeated pattern's binary text (bit 0 last)."""
+    period = "".join("1" if p else "0" for p in pattern)
+    text = (period * (n // len(period) + 1))[:n]
+    return int(text[::-1] or "0", 2)
 
 
 def circulant_constructions(

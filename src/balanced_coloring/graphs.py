@@ -474,10 +474,15 @@ def metrics(g: Graph) -> GraphMetrics:
     )
 
 
+def _tree_layers(g: Graph) -> list[int] | None:
+    """g's BFS layers from vertex 0 when g is a tree (n - 1 edges, and the
+    layers reach every vertex), else None."""
+    layers = list(_bfs_layers(g.adj, 0)) if g.edge_count == g.n - 1 else []
+    return layers if layers and sum(layers) == (1 << g.n) - 1 else None
+
+
 def is_tree(g: Graph) -> bool:
-    if g.n < 1 or g.edge_count != g.n - 1:
-        return False
-    return sum(_bfs_layers(g.adj, 0)) == (1 << g.n) - 1
+    return _tree_layers(g) is not None
 
 
 def all_labeled_graphs(n: int) -> Iterator[Graph]:

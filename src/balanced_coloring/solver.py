@@ -60,6 +60,7 @@ from .coloring import (
     Coloring, Mode, _balance_rows, _certificates, _twin_groups, check_mode, checked_output,
 )
 from .graphs import Graph
+from .trees import _tree_forcing
 
 if TYPE_CHECKING:
     from .linalg import LinearVerdict
@@ -97,8 +98,9 @@ class SolveStats:
 @dataclass(frozen=True)
 class SolveOutcome:
     """``reason`` names what decided: ``prefilter:<text>``,
-    ``forced-classes``, ``search``, ``rank``, ``kernel``, or ``budget`` for a
-    timeout."""
+    ``forced-classes``, ``tree`` or ``tree:<text>`` (the forcing pass on a
+    cnb tree, naming the vertex that cannot balance), ``search``, ``rank``,
+    ``kernel``, or ``budget`` for a timeout."""
 
     status: Literal["sat", "unsat", "timeout"]
     witness: Coloring | None
@@ -402,6 +404,12 @@ def solve(g: Graph, mode: Mode = "cnb", budget: Budget | None = None) -> SolveOu
     exhaustive; exceeding the node or wall-clock budget yields status timeout
     and never a partial witness. Deterministic for fixed inputs.
 
+    A cnb tree that passes the certificates is decided without search by
+    ``trees._tree_forcing`` (reason ``tree``, or ``tree:<text>`` for
+    unsat, with 0 nodes and 0 propagations). A balanced tree has one
+    coloring up to the swap, so its witness, with vertex 0 red, is the one
+    the search would find.
+
     When the node budget exceeds _SEARCH_ALLOWANCE and g has at most
     _LINEAR_MAX_ORDER vertices, the search pauses twice for the linear
     stage. At decision _RANK_PAUSE, M's echelon form modulo p is computed,
@@ -428,6 +436,13 @@ def solve(g: Graph, mode: Mode = "cnb", budget: Budget | None = None) -> SolveOu
     for theorem, why in _certificates(g, mode):
         reason = "forced-classes" if theorem == "leaf-bound" else f"prefilter:{why}"
         return SolveOutcome("unsat", None, _stats(None, t0), reason)
+    forced = _tree_forcing(g) if mode == "cnb" else None
+    if forced is not None:
+        red, why = forced
+        if red is None:
+            return SolveOutcome("unsat", None, _stats(None, t0), f"tree:{why}")
+        witness = checked_output(g, Coloring(g.n, red), mode, "tree witness")
+        return SolveOutcome("sat", witness, _stats(None, t0), "tree")
     search = _Search(g, mode)
     if g.n and not search._request([(0, 1)]):
         return SolveOutcome("unsat", None, _stats(search, t0))

@@ -1,12 +1,16 @@
 """Tree machinery: the two vertex-addition operations, the constructive
-recognizer for closed-balanced trees, script replay, and labeled-tree
-generation through Prufer sequences.
+recognizer for closed-balanced trees, script replay, the forcing pass that
+``solve`` decides cnb trees with, and labeled-tree generation through
+Prufer sequences.
 
 A closed-balanced tree is exactly one built from a single edge by repeated
 4-vertex additions, so recognition peels those additions off an end of a
 longest path, read from BFS layers kept across the steps, and records them;
 replaying the recorded script reconstructs the tree with its original
-labels and a valid coloring.
+labels and a valid coloring. The forcing pass needs no script: rooted at
+vertex 0, each vertex's closed-neighborhood equation fixes whether it
+shares its parent's color, so one pass up the BFS layers decides the tree
+and one pass down writes its coloring.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Iterator, Sequence
 from .coloring import (
     Coloring, InvalidColoringError, _certificates, checked_output, require_valid,
 )
-from .graphs import MAX_ORDER, Graph, _bfs_layers, bits
+from .graphs import MAX_ORDER, Graph, _bfs_layers, _tree_layers, bits
 
 
 class NotATreeError(ValueError):
@@ -191,7 +195,7 @@ def replay(script: TreeBuildScript) -> tuple[Graph, Coloring]:
 
 
 # ---------------------------------------------------------------------------
-# Recognition by peeling
+# Recognition: the peel and the forcing pass
 # ---------------------------------------------------------------------------
 
 
@@ -210,11 +214,11 @@ def decompose_cnbc_tree(t: Graph) -> TreeBuildScript | None:
     the addition; only an edge may be left. Raises NotATreeError when the
     input is not a tree.
     """
+    layers = _tree_layers(t)
+    if layers is None:
+        raise NotATreeError(f"input with {t.n} vertices, {t.edge_count} edges")
     adj = list(t.adj)
     alive = (1 << t.n) - 1
-    layers = list(_bfs_layers(adj, 0)) if t.edge_count == t.n - 1 else []
-    if not layers or sum(layers) != alive:
-        raise NotATreeError(f"input with {t.n} vertices, {t.edge_count} edges")
     if next(_certificates(t, "cnb"), None) is not None:
         return None
     steps: list[AdditionStep] = []
@@ -238,6 +242,44 @@ def decompose_cnbc_tree(t: Graph) -> TreeBuildScript | None:
         adj[v3] &= ~gone
         alive &= ~gone
     return TreeBuildScript(steps=tuple(reversed(steps)), base=tuple(bits(alive)))
+
+
+def _tree_forcing(t: Graph) -> tuple[int | None, str] | None:
+    """Decide a tree in cnb by forcing, rooted at vertex 0: None when t is
+    not a tree, else (red mask with vertex 0 red, "") or (None, why).
+
+    Needs every degree odd (solve's prefilter). Vertex v with degree d
+    needs (d+1)/2 - 1 neighbors of its own color. Going up from the deepest
+    BFS layer, the children of v have already said whether they share v's
+    color, so v's equation leaves exactly one unknown: whether v shares its
+    parent's color, which must come out 0 or 1. The root's equation has no
+    unknown left and is a check. Each equation is read once, so a balanced
+    coloring exists exactly when every step passes, and it is unique up to
+    swapping the colors; one pass down then writes it.
+    """
+    layers = _tree_layers(t)
+    if layers is None:
+        return None
+    adj = t.adj
+    share = 0  # the vertices that take their parent's color
+    for layer in reversed(layers):
+        for v in bits(layer):
+            row = adj[v]
+            want = (row.bit_count() + 1) // 2 - 1
+            have = (row & share).bit_count()  # only children are in share
+            if want - have == 1 and v:
+                share |= 1 << v
+            elif want != have:
+                parent = ", and its parent at most one" if v else ""
+                return None, (f"vertex {v} needs {want} of its neighbors in its color; "
+                              f"its children give {have}{parent}")
+    red = 1
+    for above, layer in zip(layers, layers[1:]):
+        below_red = 0
+        for p in bits(red & above):
+            below_red |= adj[p]
+        red |= layer & ~(below_red ^ share)
+    return red, ""
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,13 @@ def test_criterion_1_complement_duality():
 # ---------------------------------------------------------------------------
 
 
+def _red_at_0(c):
+    """The replayed coloring, swapped if need be so that vertex 0 is red as
+    in solve's witness: a closed-balanced tree has one coloring up to swap,
+    so the peel and solve's forcing pass must meet on it."""
+    return c if c.is_red(0) else c.flip()
+
+
 @criterion(2, "tree characterization")
 def test_criterion_2_tree_characterization():
     t0 = time.perf_counter()
@@ -131,8 +138,8 @@ def test_criterion_2_tree_characterization():
     for n in range(1, 10):
         for t in bc.labeled_trees(n):
             script = bc.decompose_cnbc_tree(t)
-            sat = bc.solve(t, "cnb").status == "sat"
-            assert (script is not None) == sat, (n, list(t.edges()))
+            out = bc.solve(t, "cnb")
+            assert (script is not None) == (out.status == "sat"), (n, list(t.edges()))
             if script is not None:
                 accepted_by_order[n] += 1
                 if n == 6:
@@ -140,6 +147,7 @@ def test_criterion_2_tree_characterization():
                 g2, c2 = bc.replay(script)
                 assert g2 == t
                 _audit(t, c2, "cnb")
+                assert out.witness == _red_at_0(c2)
     # exactly one accepted shape at order six: four leaves on two adjacent
     # degree-3 centers, with 6!/|Aut| = 90 labelings
     assert accepted_by_order[6] == 90
@@ -152,12 +160,13 @@ def test_criterion_2_tree_characterization():
         for _ in range(10_000):
             t = bc.random_labeled_tree(n, rng)
             script = bc.decompose_cnbc_tree(t)
-            sat = bc.solve(t, "cnb").status == "sat"
-            assert (script is not None) == sat
+            out = bc.solve(t, "cnb")
+            assert (script is not None) == (out.status == "sat")
             if script is not None:
                 g2, c2 = bc.replay(script)
                 assert g2 == t
                 _audit(t, c2, "cnb")
+                assert out.witness == _red_at_0(c2)
     elapsed = time.perf_counter() - t0
     assert elapsed < 600, "criterion 2 must finish inside ten minutes"
 

@@ -152,6 +152,16 @@ class TestCirculantRoutes:
             assert col is not None
             assert bc.verify_cnb(spec.build(), col)
 
+    def test_periodic_bits_against_bit_by_bit(self):
+        # every pattern the routes and the 2-adic rule pass in
+        patterns = [(0, 1), (1, 1, 0, 0)]
+        patterns += [(1,) * h + (0,) * h for h in (1, 2, 4, 8, 16)]
+        patterns += [(a0, a1, 1 - a0, 1 - a1) for a0 in (0, 1) for a1 in (0, 1)]
+        for pattern in patterns:
+            for n in range(300):
+                expect = sum(1 << i for i in range(n) if pattern[i % len(pattern)])
+                assert constructions._periodic_bits(n, pattern) == expect, (n, pattern)
+
 
 class TestCirculantReduce:
     def test_examples(self):

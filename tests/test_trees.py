@@ -1,16 +1,21 @@
 """Vertex additions, balanced-tree recognition, scripts, tree generation."""
 
 import json
+import math
 import random
 
 import networkx as nx
 import pytest
 
 import balanced_coloring as bc
-from balanced_coloring import AdditionStep, Coloring, Graph, TreeBuildScript, graphs, trees
+from balanced_coloring import (
+    AdditionStep, Budget, Coloring, Graph, TreeBuildScript, graphs, solver, trees,
+)
+from balanced_coloring.coloring import _certificates
 
 from conftest import (
-    H6_EDGES, H7_COLORING, H7_EDGES, grown_tree, low_x_star_tree, ref_decompose,
+    H6_EDGES, H7_COLORING, H7_EDGES, brute_force_masks, grown_tree, low_x_star_tree,
+    ref_decompose,
 )
 
 
@@ -327,6 +332,93 @@ class TestAgainstReferencePeel:
         script = bc.decompose_cnbc_tree(low_x_star_tree(20))
         assert calls == list(range(20))
         assert [s.x for s in script.steps] == list(range(19, -1, -1))
+
+
+def search_alone(g):
+    """What solve did with a cnb tree before its forcing pass: the generic
+    certificates, then the search with vertex 0 red, as (status, red)."""
+    if next(_certificates(g, "cnb"), None) is not None:
+        return "unsat", None
+    search = solver._Search(g, "cnb")
+    if not search._request([(0, 1)]):
+        return "unsat", None
+    red = next(search.full_assignments(search._pick, (1, 0), math.inf, math.inf), None)
+    return ("unsat", None) if red is None else ("sat", red)
+
+
+def solved(g):
+    out = bc.solve(g, "cnb")
+    return out.status, out.witness.bits if out.witness else None
+
+
+class TestForcing:
+    """solve decides a cnb tree by one pass up and one down, with no search."""
+
+    # three cherries on one center: every degree is odd and the
+    # certificates pass, but no coloring is balanced
+    CHERRIES = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (2, 7), (3, 8), (3, 9)]
+
+    def test_every_labeled_tree_to_order_6_against_brute_force(self):
+        seen = 0
+        for n in range(1, 7):
+            for t in bc.labeled_trees(n):
+                status, red = solved(t)
+                masks = brute_force_masks(t, "cnb")
+                assert status == ("sat" if masks else "unsat")
+                if masks:
+                    # the coloring is unique up to the swap
+                    assert sorted(masks) == sorted((red, red ^ ((1 << n) - 1)))
+                    seen += 1
+        assert seen == 1 + 90
+
+    def test_odd_degree_trees_against_the_search(self):
+        rng = random.Random(424242)
+        sat = 0
+        for n, count in ((10, 1500), (14, 700), (18, 300)):
+            for _ in range(count):
+                t = TestDecompose._random_odd_degree_tree(n, rng)
+                got = solved(t)
+                assert got == search_alone(t)
+                sat += got[0] == "sat"
+        assert sat > 50
+
+    def test_grown_trees_against_the_search(self):
+        rng = random.Random(3141)
+        for _ in range(300):
+            t = grown_tree(rng.randint(2, 60), rng)
+            assert solved(t) == search_alone(t)
+
+    @pytest.mark.parametrize("make", [
+        lambda: grown_tree(1000, random.Random(5)), lambda: low_x_star_tree(1000),
+    ], ids=["grown", "low-x-star"])
+    def test_order_4002_needs_no_search(self, make):
+        t = make()
+        out = bc.solve(t, "cnb", Budget(max_nodes=1))
+        assert t.n == 4002
+        assert (out.status, out.reason, out.stats.nodes, out.stats.propagations) == \
+            ("sat", "tree", 0, 0)
+        assert out.witness.is_red(0) and bc.verify_cnb(t, out.witness)
+
+    def test_unbalanced_vertex_is_named(self):
+        t = Graph.from_edges(10, self.CHERRIES)
+        assert all(d % 2 for d in t.degrees()) and brute_force_masks(t, "cnb") == []
+        out = bc.solve(t, "cnb")
+        assert (out.status, out.stats.nodes) == ("unsat", 0)
+        assert out.reason == (
+            "tree:vertex 0 needs 1 of its neighbors in its color; its children give 3"
+        )
+        # rooted at a leaf the center is a child, and fails the pass up
+        swap = {0: 4, 4: 0}
+        t = Graph.from_edges(10, [(swap.get(u, u), swap.get(v, v)) for u, v in self.CHERRIES])
+        assert bc.solve(t, "cnb").reason == (
+            "tree:vertex 4 needs 1 of its neighbors in its color; "
+            "its children give 2, and its parent at most one"
+        )
+
+    def test_only_trees_are_forced(self):
+        # n - 1 edges but disconnected, and connected with a cycle
+        for g in (bc.disjoint_union(bc.cycle(3), bc.complete(1)), bc.cycle(4)):
+            assert trees._tree_forcing(g) is None
 
 
 class TestReplayAndScripts:
