@@ -26,15 +26,20 @@ queued again, since the earlier entry is handled first and the later one
 would change nothing. ``propagations`` therefore counts exactly the forced
 assignments of a search over (c, f).
 
-One iterative depth-first search (an explicit stack, no recursion) serves
-both decision and enumeration. Decision picks the unassigned vertex with
-the fewest free slots in its row (RC + BC, summed plane by plane with a
-ripple-carry adder), then the largest row (the most assigned members), then
-the lowest index, and tries red first; its unsat answers are exhaustive,
-and fixing vertex 0 red is sound because swapping the two colors preserves
-validity. Enumeration picks the lowest unassigned vertex, blue first, never
-breaks symmetry, and so emits colorings in lexicographic order of their R/B
-text.
+Decision and enumeration each run an iterative depth-first search (an
+explicit stack, no recursion) over the same propagation. Decision picks the
+unassigned vertex with the fewest free slots in its row (RC + BC, summed
+plane by plane with a ripple-carry adder), then the largest row (the most
+assigned members), then the lowest index, and tries red first; its unsat
+answers are exhaustive, and fixing vertex 0 red is sound because swapping
+the two colors preserves validity. Enumeration picks the lowest unassigned
+vertex, blue first, never breaks symmetry, and so emits colorings in
+lexicographic order of their R/B text. Its pick and its completions, in
+order, depend only on the assigned mask and the red capacities
+(``_Search._state``), so it stores each finished state that has a
+completion and replays a state met again instead of searching it. Its
+``nodes`` count only the states it explores, its node budget only their
+decisions, and its deadline also covers the replay.
 
 Decision pauses twice for an exact linear stage (``linalg``), which
 row-reduces the balance matrix modulo a large prime once, at the first
@@ -54,7 +59,7 @@ import itertools
 import os
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal
+from typing import TYPE_CHECKING, Iterable, Iterator, Literal
 
 from .coloring import (
     Coloring, Mode, _balance_rows, _certificates, _twin_groups, check_mode, checked_output,
@@ -86,7 +91,9 @@ class Budget:
 class SolveStats:
     """Search decisions and forced assignments, wall time, and for the
     linear stage the nullity of the balance matrix (once its echelon form
-    is computed) and the sign choices of its kernel search."""
+    is computed) and the sign choices of its kernel search. An enumeration
+    counts only the states it explores: a replayed state adds no nodes and
+    no propagations."""
 
     nodes: int
     propagations: int
@@ -337,16 +344,18 @@ class _Search:
                 un &= plane
         return (un & -un).bit_length() - 1
 
-    def _lowest(self) -> int:
-        un = ((1 << self.n) - 1) & ~self.assigned
-        return (un & -un).bit_length() - 1
+    def _state(self) -> tuple[int, ...]:
+        """The residual state: the assigned mask and the red capacity
+        planes, which fix the blue capacities and the zero-capacity masks.
+        Classes are assigned whole, so no later propagation reads the colors
+        already given, and the completions of a state depend on it alone."""
+        return (self.assigned, *self.rc)
 
     def full_assignments(
-        self, pick: Callable[[], int], colors: tuple[int, int], deadline: float,
-        max_nodes: float, pauses: tuple[int, ...] = (),
+        self, deadline: float, max_nodes: float, pauses: tuple[int, ...] = (),
     ) -> Iterator[int]:
-        """Red mask of each full assignment, depth first: branch on pick()
-        (-1 once all are assigned), trying colors in order; the stack holds
+        """Red mask of each full assignment, depth first: branch on _pick()
+        (-1 once all are assigned), trying red, then blue; the stack holds
         (vertex, next color index, trail mark). Each branch is one decision;
         passing max_nodes of them, or the deadline (checked every 1024),
         raises _LimitExceeded. At each decision number in ``pauses`` (in
@@ -358,7 +367,7 @@ class _Search:
         pause = next(later, 0)
         while True:
             if ok:
-                v = pick()
+                v = self._pick()
                 if v < 0:
                     yield self.red
                 else:
@@ -375,12 +384,84 @@ class _Search:
                 return
             v, i, mark = stack[-1]
             self._unwind(mark)
-            if i == len(colors):
+            if i == 2:
                 stack.pop()
                 ok = False
             else:
                 stack[-1] = (v, i + 1, mark)
-                ok = self._request([(v, colors[i])])
+                ok = self._request([(v, 1 - i)])
+
+
+def _colorings(search: _Search, deadline: float, max_nodes: float,
+               memo: dict[tuple[int, ...], tuple]) -> Iterator[int]:
+    """Red mask of every full assignment, lowest unassigned vertex first and
+    blue before red, so in lexicographic order. A finished state with a
+    completion is stored in ``memo`` under ``search._state()`` as a node: a
+    tuple of (red delta, child) edges in order, the child None where the
+    edge completes the assignment. A state met again is replayed from its
+    node, lazily and without recursion. Only explored states are decisions;
+    passing max_nodes of them raises _LimitExceeded, and so does the
+    deadline, checked every 1024 decisions and every 1024 colorings."""
+    full = (1 << search.n) - 1
+    if search.assigned == full:
+        yield search.red
+        return
+    emitted = 0
+    # frames: [vertex, next color, trail mark, red delta in, edges]; the
+    # state key is read again when a frame finishes, so that a deep stack
+    # holds no copies of the capacity planes
+    stack: list[list] = []
+
+    def explore(delta: int) -> None:
+        # a state not met before: one decision, on its lowest unassigned vertex
+        search.decisions += 1
+        if search.decisions > max_nodes or (
+            not search.decisions & 1023 and time.monotonic() > deadline
+        ):
+            raise _LimitExceeded
+        un = full & ~search.assigned
+        stack.append([(un & -un).bit_length() - 1, 0, len(search.trail), delta, []])
+
+    explore(0)
+    while stack:
+        frame = stack[-1]
+        search._unwind(frame[2])
+        col = frame[1]
+        if col == 2:
+            stack.pop()
+            node = tuple(frame[4])
+            if node:
+                memo[search._state()] = node
+                if stack:
+                    stack[-1][4].append((frame[3], node))
+            continue
+        frame[1] = col + 1
+        before = search.red
+        if not search._request([(frame[0], col)]):
+            continue
+        edge = (search.red ^ before, None)
+        if search.assigned != full:
+            node = memo.get(search._state())
+            if node is None:
+                explore(edge[0])
+                continue
+            edge = (edge[0], node)
+        frame[4].append(edge)
+        # emit the edge's colorings, a stored subtree replayed lazily: each
+        # level of the replay stack is an iterator over one node's edges
+        replay = [(iter((edge,)), before)]
+        while replay:
+            it, red = replay[-1]
+            edge = next(it, None)
+            if edge is None:
+                replay.pop()
+            elif edge[1] is None:
+                emitted += 1
+                if not emitted & 1023 and time.monotonic() > deadline:
+                    raise _LimitExceeded
+                yield red | edge[0]
+            else:
+                replay.append((iter(edge[1]), red | edge[0]))
 
 
 def _stats(search: _Search | None, t0: float, lin: LinearVerdict | None = None
@@ -449,7 +530,7 @@ def solve(g: Graph, mode: Mode = "cnb", budget: Budget | None = None) -> SolveOu
     deadline = time.monotonic() + budget.max_millis / 1000.0
     linear = budget.max_nodes > _SEARCH_ALLOWANCE and g.n <= _LINEAR_MAX_ORDER
     pauses = (min(_RANK_PAUSE, _SEARCH_ALLOWANCE), _SEARCH_ALLOWANCE) if linear else ()
-    runs = search.full_assignments(search._pick, (1, 0), deadline, budget.max_nodes, pauses)
+    runs = search.full_assignments(deadline, budget.max_nodes, pauses)
     lin = form = None
     try:
         red = next(runs, None)
@@ -492,8 +573,12 @@ def enumerate_colorings(
 
     Both members of every color-swap pair are present (no symmetry breaking,
     so counts are raw). The search has solve's default budget, read at call
-    time. ``capped`` marks a lexicographic prefix: the cap was reached or the
-    budget ran out. Every returned coloring is re-verified.
+    time. A state met again is replayed from a memo, so the node budget
+    counts only the decisions of explored states, and ``stats.nodes`` only
+    those states; the deadline is also checked every 1,024 colorings, since
+    a replay can emit many without a decision. ``capped`` marks a
+    lexicographic prefix: the cap was reached or the budget ran out. Every
+    returned coloring is re-verified.
     """
     mode = check_mode(mode)
     if cap is not None and cap < 1:
@@ -503,7 +588,7 @@ def enumerate_colorings(
         return EnumerationOutcome((), False, _stats(None, t0))
     search = _Search(g, mode)
     deadline = time.monotonic() + DEFAULT_MAX_MILLIS / 1000.0
-    runs = search.full_assignments(search._lowest, (0, 1), deadline, DEFAULT_MAX_NODES)
+    runs = _colorings(search, deadline, DEFAULT_MAX_NODES, {})
     masks: list[int] = []
     try:
         for red in itertools.islice(runs, cap):

@@ -11,7 +11,7 @@ import functools
 import random
 import time
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import pytest
 
@@ -302,16 +302,15 @@ class RefSearch:
                 best = v
         return best
 
-    def _lowest(self) -> int:
-        un = ((1 << self.n) - 1) & ~self.assigned
-        return (un & -un).bit_length() - 1
+    def _state(self) -> tuple[int, ...]:
+        # the signed counts fix the red capacities, given the assigned mask
+        return (self.assigned, *self.cur)
 
     def full_assignments(
-        self, pick: Callable[[], int], colors: tuple[int, int], deadline: float,
-        max_nodes: float, pauses: tuple[int, ...] = (),
+        self, deadline: float, max_nodes: float, pauses: tuple[int, ...] = (),
     ) -> Iterator[int]:
-        """Red mask of each full assignment, depth first: branch on pick()
-        (-1 once all are assigned), trying colors in order; the stack holds
+        """Red mask of each full assignment, depth first: branch on _pick()
+        (-1 once all are assigned), trying red, then blue; the stack holds
         (vertex, next color index, trail mark). Each branch is one decision;
         passing max_nodes of them, or the deadline (checked every 1024),
         raises _LimitExceeded. At each decision number in ``pauses`` (in
@@ -323,7 +322,7 @@ class RefSearch:
         pause = next(later, 0)
         while True:
             if ok:
-                v = pick()
+                v = self._pick()
                 if v < 0:
                     yield self.red
                 else:
@@ -340,12 +339,12 @@ class RefSearch:
                 return
             v, i, mark = stack[-1]
             self._unwind(mark)
-            if i == len(colors):
+            if i == 2:
                 stack.pop()
                 ok = False
             else:
                 stack[-1] = (v, i + 1, mark)
-                ok = self._request([(v, colors[i])])
+                ok = self._request([(v, 1 - i)])
 
 
 

@@ -3,6 +3,8 @@ enumeration order, budgets, and the census stream."""
 
 import ast
 import functools
+import itertools
+import math
 import pathlib
 import random
 import tracemalloc
@@ -11,7 +13,7 @@ import pytest
 
 import balanced_coloring as bc
 from balanced_coloring import Budget, Coloring, solver
-from balanced_coloring.coloring import leaf_overload
+from balanced_coloring.coloring import _certificates, leaf_overload
 
 from conftest import H7_COLORING, RefSearch, brute_force_masks, random_graph
 
@@ -186,6 +188,90 @@ class TestEnumeration:
         assert len(bc.enumerate_colorings(bc.prism(6), "cnb").colorings) == 2
         # frozen by the 2^12 brute force below
         assert len(brute_force_masks(bc.prism(6), "cnb")) == 2
+
+
+def _plain_dfs(search, full):
+    """Every full assignment below the search's state: the lowest
+    unassigned vertex, blue before red, each branch searched in full."""
+    if search.assigned == full:
+        yield search.red
+        return
+    un = full & ~search.assigned
+    v = (un & -un).bit_length() - 1
+    for col in (0, 1):
+        mark = len(search.trail)
+        if search._request([(v, col)]):
+            yield from _plain_dfs(search, full)
+        search._unwind(mark)
+
+
+def plain_enumeration(g, mode):
+    """The texts enumerate_colorings gives with no cap, by the certificates
+    and a plain depth-first search over solver._Search, with no memo."""
+    if next(_certificates(g, mode), None) is not None:
+        return []
+    masks = _plain_dfs(solver._Search(g, mode), (1 << g.n) - 1)
+    return [Coloring(g.n, m).to_text() for m in masks]
+
+
+class TestMemoizedEnumeration:
+    """enumerate_colorings replays a state it has searched before instead of
+    searching it again; texts and ``capped`` must be the plain search's."""
+
+    @staticmethod
+    def _check(cases):
+        for g, mode in cases:
+            full = plain_enumeration(g, mode)
+            for cap in (1, 7, None):
+                out = bc.enumerate_colorings(g, mode, cap)
+                got = ([c.to_text() for c in out.colorings], out.capped)
+                want = (full[:cap], cap is not None and len(full) >= cap)
+                assert got == want, (g.n, list(g.edges()), mode, cap)
+
+    def test_labeled_graphs_against_plain_search(self):
+        self._check([(g, mode) for n in range(7) for g in bc.all_labeled_graphs(n)
+                     for mode in ("cnb", "nb")])
+
+    def test_families_against_plain_search(self):
+        cases = [(bc.complete_bipartite(m, n), mode) for m in range(1, 7)
+                 for n in range(1, 7) for mode in ("cnb", "nb")]
+        cases += [(bc.hypercube(4), "nb"), (bc.hypercube(5), "cnb")]
+        for n in range(3, 17):
+            for k in range(1, n // 2 + 1):
+                for lengths in itertools.combinations(range(1, n // 2 + 1), k):
+                    cases += [(bc.circulant(n, lengths), mode) for mode in ("cnb", "nb")]
+        self._check(cases)
+
+    def test_k10_10_nb_in_few_nodes(self):
+        # the plain search makes 63,503 decisions here, one per coloring
+        # but the last; nearly every state it meets has been met before
+        out = bc.enumerate_colorings(bc.complete_bipartite(10, 10), "nb")
+        assert (len(out.colorings), out.capped) == (63504, False)
+        assert out.stats.nodes <= 100
+
+    def test_deadline_covers_replay(self, monkeypatch):
+        # with 50 decisions the search never reaches a deadline check of
+        # its own, so only the replay can stop it
+        g = bc.complete_bipartite(10, 10)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "DEFAULT_MAX_MILLIS", 0.0)
+            out = bc.enumerate_colorings(g, "nb")
+        texts = [c.to_text() for c in out.colorings]
+        assert out.capped and 0 < len(texts) < 63504
+        prefix = bc.enumerate_colorings(g, "nb", cap=len(texts))
+        assert texts == [c.to_text() for c in prefix.colorings]
+        assert all(bc.verify(g, c, "nb") for c in out.colorings)
+
+    def test_dead_states_are_not_stored(self):
+        # a seeded 11-regular graph of order 40 with no cnb coloring that
+        # the certificates let through: no state has a completion
+        g = _random_regular(40, 11, random.Random(4))
+        assert next(_certificates(g, "cnb"), None) is None
+        search = solver._Search(g, "cnb")
+        memo = {}
+        assert list(solver._colorings(search, math.inf, math.inf, memo)) == []
+        assert search.decisions >= 10_000
+        assert memo == {}
 
 
 class TestBudgets:

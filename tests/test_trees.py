@@ -342,7 +342,7 @@ def search_alone(g):
     search = solver._Search(g, "cnb")
     if not search._request([(0, 1)]):
         return "unsat", None
-    red = next(search.full_assignments(search._pick, (1, 0), math.inf, math.inf), None)
+    red = next(search.full_assignments(math.inf, math.inf), None)
     return ("unsat", None) if red is None else ("sat", red)
 
 
