@@ -5,11 +5,12 @@ M = A + I for closed neighborhoods (cnb) and M = A for open ones (nb), is
 the red-minus-blue count of v's neighborhood, so c is balanced exactly when
 M c = 0.
 
-``kernel_verdict`` brings M to row echelon form modulo the prime
-p = 2^61 - 1, and back substitution writes each pivot coordinate
-of a kernel vector as a fixed linear form in the free ones. A search over
-the signs of the free coordinates checks each pivot row as soon as all of
-its free variables are set.
+``kernel_verdict`` brings M to reduced row echelon form modulo the
+Mersenne prime p = 2^31 - 1 in one pass over 64-bit slots (one fold per
+row update), which writes each pivot coordinate of a kernel vector as a
+fixed linear form in the free ones. A search over the signs of the free
+coordinates checks each pivot row as soon as all of its free variables
+are set.
 
 Soundness of the mod-p stage. Let c in {+1, -1}^n satisfy M c = 0 over the
 integers. Then M c = 0 mod p, so c lies in the mod-p kernel, and c is the
@@ -27,7 +28,12 @@ Fixing the first free coordinate to +1 loses nothing, since c and -c are
 balanced together. A surviving candidate is a +-1 vector with M c = 0 mod
 p; every entry of M c lies in [-(n + 1), n + 1] and n + 1 < p, so M c = 0
 over the integers too. Each candidate is still verified exactly before it
-is returned.
+is returned. Both arguments hold for any prime above n + 1.
+
+Exactness. Up to order 22 the mod-p nullity is the rational one: by
+Hadamard's bound a nonzero minor of a 0/1 matrix of order r <= 22 is at
+most (r + 1)^((r + 1) / 2) / 2^r < 2^31 - 1. Above that a rank drop mod p
+can make the stage less decisive, never wrong.
 """
 
 from __future__ import annotations
@@ -40,19 +46,21 @@ from typing import Iterator, Literal, Sequence
 from .coloring import Coloring, Mode, _balance_rows, check_mode, verify
 from .graphs import Graph, spread
 
-P = (1 << 61) - 1
+P = (1 << 31) - 1
 
 
 # ---------------------------------------------------------------------------
-# Echelon form mod p and the sign search over its kernel
+# Reduced echelon form mod p and the sign search over its kernel
 # ---------------------------------------------------------------------------
 
 
 # Rows are packed one entry per _W-bit slot of a Python int, so one big-int
-# operation updates a whole row. Entries stay below 2^62: a row update adds
-# at most 2^61 * 2^62 < 2^124, and _fold brings a slot back under 2^62 with
-# the Mersenne identity 2^61 = 1 (mod P), never carrying into the next slot.
-_W = 128
+# operation updates a whole row. Entries stay below 2^33. The pivot row,
+# scaled by its inverse (below 2^64) and folded twice, is below 2^32; a row
+# update x + (P - f) * tail then stays below 2^63 + 2^33, and one _fold
+# (2^31 = 1 mod P) brings a slot back under 2^32 + 4 + 2^31 < 2^33, never
+# carrying into the next slot.
+_W = 64
 _SLOT = (1 << _W) - 1
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -67,62 +75,48 @@ def _packed(row: int, n: int) -> int:
 
 
 def _fold(x: int, low: int, high: int) -> int:
-    """Each slot of x (below 2^124) reduced to below 2^62, same value mod P;
-    low and high select the bits 0..60 and 0..66 of every slot."""
-    x = (x & low) + ((x >> 61) & high)
-    return (x & low) + ((x >> 61) & high)
+    """Each slot of x (below 2^64) as its bits 0..30 plus its bits 31..63, the
+    same value mod P; low and high select bits 0..30 and 0..32 of every slot."""
+    return (x & low) + ((x >> 31) & high)
 
 
-def echelon(rows: Sequence[int], n: int) -> tuple[list[int], list[int]]:
-    """Row echelon form mod P of the 0/1 matrix whose row i has entry j
-    equal to bit j of rows[i]: the pivot columns in increasing order, and
-    for pivot k its row right of pivots[k], packed (entry pivots[k] + 1 + t
-    in slot t, reduced mod P by the reader). The pivot entry itself is 1 and
-    everything left of it 0. Rows drop one slot per column, so slot 0 is
-    always the current column."""
+def echelon(rows: Sequence[int], n: int) -> tuple[list[int], list[int], list[list[int]]]:
+    """Reduced row echelon form mod P of the 0/1 matrix whose row i has
+    entry j equal to bit j of rows[i]: the pivot columns, the free columns,
+    and for pivot k the coefficients forms[k][t] (reduced mod P) with
+    x[pivots[k]] = -sum over t of forms[k][t] * x[free[t]] on the kernel.
+
+    Rows drop one slot per column, so slot 0 is always the current column.
+    Each pivot column is eliminated from the finished pivot rows too, so at
+    a free column their slot 0 is their coefficient there. A waiting row
+    only gains multiples of pivot rows, which are 0 at every earlier free
+    column, so a later pivot's coefficients there are 0."""
     ones = spread((1 << n) - 1, _W)
-    low, high = ones * ((1 << 61) - 1), ones * ((1 << 67) - 1)
+    low, high = ones * P, ones * ((1 << 33) - 1)
     m = [_packed(r, n) for r in rows]
     pivots: list[int] = []
-    tails: list[int] = []
+    free: list[int] = []
+    forms: list[list[int]] = []
     for col in range(n):
-        hit = next((i for i, x in enumerate(m) if (x & _SLOT) % P), -1)
+        k = len(pivots)  # m[:k] are the finished pivot rows, in pivot order
+        hit = next((i for i in range(k, len(m)) if (m[i] & _SLOT) % P), -1)
         if hit < 0:
+            free.append(col)
+            for w, x in zip(forms, m):
+                w.append((x & _SLOT) % P)
             m = [x >> _W for x in m]
             continue
-        prow = m.pop(hit)
+        prow = m[hit]
+        m[hit], m[k] = m[k], 0
         inv = pow((prow & _SLOT) % P, -1, P)
-        tail = _fold(prow * inv, low, high) >> _W
-        pivots.append(col)
-        tails.append(tail)
+        tail = _fold(_fold(prow * inv, low, high), low, high) >> _W
         for i, x in enumerate(m):
             f = (x & _SLOT) % P
             m[i] = _fold((x >> _W) + (P - f) * tail, low, high) if f else x >> _W
-    return pivots, tails
-
-
-def _pivot_forms(
-    pivots: list[int], tails: list[int], n: int
-) -> tuple[list[int], list[list[int]]]:
-    """The free columns, and for pivot k the coefficients w[k][t] with
-    x[pivots[k]] = -sum over t of w[k][t] * x[free[t]] on the kernel: back
-    substitution from the last pivot up."""
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    slot = {j: t for t, j in enumerate(free)}
-    where = {j: k for k, j in enumerate(pivots)}
-    forms: list[list[int]] = [[]] * len(pivots)
-    for k in range(len(pivots) - 1, -1, -1):
-        w = [0] * len(free)
-        for j in range(pivots[k] + 1, n):
-            a = ((tails[k] >> (_W * (j - pivots[k] - 1))) & _SLOT) % P
-            if a:
-                if j in slot:
-                    w[slot[j]] = (w[slot[j]] + a) % P
-                else:  # x[j] = -sum_t forms[where[j]][t] x[free[t]]
-                    w = [(x - a * y) % P for x, y in zip(w, forms[where[j]])]
-        forms[k] = w
-    return free, forms
+        m[k] = tail
+        pivots.append(col)
+        forms.append([0] * len(free))
+    return pivots, free, forms
 
 
 class _DeadlinePassed(Exception):
@@ -208,9 +202,9 @@ class LinearVerdict:
 
 def kernel_verdict(
     g: Graph, mode: Mode, max_nullity: int | None = None, deadline: float = math.inf,
-    form: tuple[list[int], list[int]] | None = None,
+    form: tuple[list[int], list[int], list[list[int]]] | None = None,
 ) -> LinearVerdict:
-    """Decide g in the given mode from the mod-P echelon form of its
+    """Decide g in the given mode from the reduced mod-P echelon form of its
     balance matrix: unsat at nullity 0, otherwise (when the nullity is at
     most max_nullity, or always when it is None) by the sign search over
     the kernel, verifying each candidate exactly. ``deadline`` is a
@@ -220,13 +214,12 @@ def kernel_verdict(
     n = g.n
     if n == 0:  # the empty coloring
         return LinearVerdict("sat", 0, 0, 0)
-    pivots, tails = form if form is not None else echelon(_balance_rows(g, mode), n)
+    pivots, free, forms = form if form is not None else echelon(_balance_rows(g, mode), n)
     nullity = n - len(pivots)
     if nullity == 0:
         return LinearVerdict("unsat", 0)
     if max_nullity is not None and nullity > max_nullity:
         return LinearVerdict("deferred", nullity)
-    free, forms = _pivot_forms(pivots, tails, n)
     counter = [0]
     try:
         for red in _sign_candidates(pivots, free, forms, deadline, counter):

@@ -42,14 +42,15 @@ completion and replays a state met again instead of searching it. Its
 decisions, and its deadline also covers the replay.
 
 Decision pauses twice for an exact linear stage (``linalg``), which
-row-reduces the balance matrix modulo a large prime once, at the first
-pause, and reads that echelon form at both. The first pause, after a few
-decisions without an answer, decides only nullity 0 (no coloring) and
-nullity 1 (a sign search over the kernel); the second, once the search has
-used its whole allowance, searches the signs of any small kernel. A larger
-nullity resumes the search where it stopped. Inputs the search answers
-before the first pause never reach the stage, so their witnesses are the
-search's; ``solve`` shows why the first pause changes no witness either.
+brings the balance matrix to reduced row echelon form modulo 2^31 - 1
+once, at the first pause, and reads that form at both. The first pause,
+after a few decisions without an answer, decides only nullity 0 (no
+coloring) and nullity 1 (a sign search over the kernel); the second, once
+the search has used its whole allowance, searches the signs of any small
+kernel. A larger nullity resumes the search where it stopped. Inputs the
+search answers before the first pause never reach the stage, so their
+witnesses are the search's; ``solve`` shows why the first pause changes no
+witness either.
 """
 
 from __future__ import annotations
@@ -493,21 +494,22 @@ def solve(g: Graph, mode: Mode = "cnb", budget: Budget | None = None) -> SolveOu
 
     When the node budget exceeds _SEARCH_ALLOWANCE and g has at most
     _LINEAR_MAX_ORDER vertices, the search pauses twice for the linear
-    stage. At decision _RANK_PAUSE, M's echelon form modulo p is computed,
-    once per solve: nullity 0 is unsat (reason ``rank``), and nullity 1 is
-    decided by the kernel sign search (reason ``kernel``). A larger nullity
-    resumes the search exactly where it stopped. At decision
-    _SEARCH_ALLOWANCE the same echelon form decides any nullity up to
-    _KERNEL_MAX_NULLITY by the sign search; a larger one resumes the search
-    with the budget that remains. A kernel witness has vertex 0 red.
+    stage. At decision _RANK_PAUSE, M's reduced echelon form modulo p =
+    2^31 - 1 is computed, once per solve: nullity 0 is unsat (reason
+    ``rank``), and nullity 1 is decided by the kernel sign search (reason
+    ``kernel``). A larger nullity resumes the search exactly where it
+    stopped. At decision _SEARCH_ALLOWANCE the same echelon form decides
+    any nullity up to _KERNEL_MAX_NULLITY by the sign search; a larger one
+    resumes the search with the budget that remains. A kernel witness has
+    vertex 0 red.
 
     The first pause changes no status and no witness, only the reason and
-    the counters. The mod-p nullity is at least the rational nullity, so at
-    nullity at most 1 the balanced colorings, as +-1 vectors in the rational
-    kernel, are at most one pair c, -c. The search fixes vertex 0 red, so
-    any witness it would find later is the one of c and -c with vertex 0
-    red, which is the kernel's witness; and if the kernel has none, the
-    search has none to find.
+    the counters, for any prime p > n + 1. The mod-p nullity is at least
+    the rational nullity, so at nullity at most 1 the balanced colorings,
+    as +-1 vectors in the rational kernel, are at most one pair c, -c. The
+    search fixes vertex 0 red, so any witness it would find later is the
+    one of c and -c with vertex 0 red, which is the kernel's witness; and
+    if the kernel has none, the search has none to find.
     """
     mode = check_mode(mode)
     if budget is None:
@@ -597,9 +599,11 @@ def enumerate_colorings(
         capped = True
     else:
         capped = cap is not None and len(masks) >= cap
-    colorings = tuple(
-        checked_output(g, Coloring(g.n, m), mode, "enumerated coloring") for m in masks
-    )
+    # checked_output's test, each distinct row and its size built once
+    rows = {row: row.bit_count() for row in _balance_rows(g, mode)}.items()
+    if any(2 * (r & m).bit_count() != k for m in masks for r, k in rows):
+        raise RuntimeError(f"internal error: enumerated coloring failed {mode} verification")
+    colorings = tuple(Coloring(g.n, m) for m in masks)
     return EnumerationOutcome(colorings, capped, _stats(search, t0))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import random
 import time
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -163,6 +164,57 @@ def ref_graph6_decode(text: str | bytes) -> Graph:
     if pad and (data[-1] - _G6_OFFSET) & ((1 << pad) - 1):
         raise Graph6Error("nonzero-padding", len(data) - 1, "padding bits must be zero")
     return Graph(n, tuple(rows))
+
+
+# Linear-stage references: a plain Gauss-Jordan over lists of Python ints
+# mod p, with no packing and no delayed reduction, and the rank over the
+# rationals. The library's one-pass reduced echelon form must give the
+# same pivots, free columns and forms.
+def ref_reduced_echelon(
+    rows: Sequence[int], n: int, p: int
+) -> tuple[list[int], list[int], list[list[int]]]:
+    """Pivot columns, free columns, and for pivot k the coefficients
+    w[k][t] of the reduced row echelon form mod p, so that x[pivots[k]] =
+    -sum over t of w[k][t] * x[free[t]] on the kernel."""
+    m = [[(r >> j) & 1 for j in range(n)] for r in rows]
+    pivots: list[int] = []
+    for col in range(n):
+        hit = next((i for i in range(len(pivots), len(m)) if m[i][col] % p), None)
+        if hit is None:
+            continue
+        k = len(pivots)
+        m[k], m[hit] = m[hit], m[k]
+        inv = pow(m[k][col], -1, p)
+        m[k] = [a * inv % p for a in m[k]]
+        for i in range(len(m)):
+            f = m[i][col]
+            if i != k and f:
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[k])]
+        pivots.append(col)
+    free = [j for j in range(n) if j not in pivots]
+    return pivots, free, [[m[k][j] for j in free] for k in range(len(pivots))]
+
+
+def ref_rational_rank(rows: Sequence[int], n: int) -> int:
+    """Rank over the rationals, by Gaussian elimination with Fraction
+    multipliers (kept as ints while they are whole, which is most of the
+    time on small 0/1 matrices)."""
+    m = [[(r >> j) & 1 for j in range(n)] for r in rows]
+    rank = 0
+    for col in range(n):
+        hit = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if hit is None:
+            continue
+        m[rank], m[hit] = m[hit], m[rank]
+        piv = m[rank]
+        for i in range(rank + 1, len(m)):
+            if m[i][col]:
+                f = Fraction(m[i][col], piv[col])
+                if f.denominator == 1:
+                    f = f.numerator
+                m[i] = [a - f * b for a, b in zip(m[i], piv)]
+        rank += 1
+    return rank
 
 
 # Search reference: the counter-list search core the bit-sliced one in

@@ -1,6 +1,8 @@
-"""The exact linear stage: the echelon form modulo 2^61 - 1, the kernel sign
-search, and how solve uses them; checked against the brute-force oracle,
-against each other, against solve, and on circulants against the 2-adic rule."""
+"""The exact linear stage: the reduced echelon form modulo 2^31 - 1, the
+kernel sign search, and how solve uses them; checked against a plain
+Gauss-Jordan reference, against the rational rank below the Hadamard
+threshold, against the brute-force oracle, against each other, against
+solve, and on circulants against the 2-adic rule."""
 
 import itertools
 import random
@@ -13,7 +15,7 @@ from balanced_coloring import Budget, Coloring, linalg, solver
 from balanced_coloring.constructions import _two_adic_rule
 from balanced_coloring.graphs import CirculantSpec
 
-from conftest import brute_force_masks, random_graph
+from conftest import brute_force_masks, random_graph, ref_rational_rank, ref_reduced_echelon
 
 
 def _balance_rows(g, mode):
@@ -21,7 +23,7 @@ def _balance_rows(g, mode):
 
 
 def _echelon_nullity(g, mode):
-    pivots, _tails = linalg.echelon(_balance_rows(g, mode), g.n)
+    pivots, _free, _forms = linalg.echelon(_balance_rows(g, mode), g.n)
     return g.n - len(pivots)
 
 
@@ -57,6 +59,55 @@ def _random_regular(n, d, rng):
         present |= {new1, new2}
         edges[i], edges[j] = new1, new2
     return bc.Graph.from_edges(n, edges)
+
+
+class TestEchelon:
+    @pytest.mark.parametrize("density", [0.1, 0.5, 0.9])
+    def test_seeded_random_matrices_to_order_64(self, density):
+        # the dense order-64 matrices drive the one-fold slot bound hardest,
+        # at the largest order solve runs the stage on
+        rng = random.Random(int(density * 10))
+        for n in range(1, 65):
+            rows = [sum(1 << j for j in range(n) if rng.random() < density)
+                    for _ in range(n)]
+            assert linalg.echelon(rows, n) == ref_reduced_echelon(rows, n, linalg.P), n
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 33, 64])
+    def test_zero_identity_and_all_ones(self, n):
+        for rows in ([0] * n, [1 << i for i in range(n)], [(1 << n) - 1] * n):
+            assert linalg.echelon(rows, n) == ref_reduced_echelon(rows, n, linalg.P)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 40, 64])
+    def test_complete_and_empty_balance_matrices(self, n):
+        for g in (bc.complete(n), bc.empty_graph(n)):
+            for mode in ("cnb", "nb"):
+                rows = _balance_rows(g, mode)
+                assert linalg.echelon(rows, n) == ref_reduced_echelon(rows, n, linalg.P)
+
+
+class TestHadamardExactness:
+    """A nonzero minor of a 0/1 matrix of order r is at most
+    (r + 1)^((r + 1) / 2) / 2^r by Hadamard's bound, below 2^31 - 1 for
+    r <= 22; so up to order 22 the mod-P nullity is the rational one."""
+
+    @staticmethod
+    def _exact(g, mode):
+        rational = g.n - ref_rational_rank(_balance_rows(g, mode), g.n)
+        assert _echelon_nullity(g, mode) == rational, (g, mode)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_labeled_graph_to_order_6(self, n):
+        for g in _labeled_graphs(n):
+            for mode in ("cnb", "nb"):
+                self._exact(g, mode)
+
+    def test_seeded_random_graphs_of_order_7_to_22(self):
+        rng = random.Random(22)
+        for n in range(7, 23):
+            for _ in range(4):
+                g = random_graph(rng, n, rng.random())
+                for mode in ("cnb", "nb"):
+                    self._exact(g, mode)
 
 
 class TestKernelVerdict:

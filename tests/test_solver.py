@@ -109,6 +109,19 @@ class TestDeterminism:
 
 
 class TestEnumeration:
+    def test_output_check_rejects_an_unbalanced_coloring(self, monkeypatch):
+        # the rows are built once per enumeration, and every coloring is
+        # still checked against every one of them
+        real = solver._colorings
+
+        def one_bad(*args):
+            yield from real(*args)
+            yield 0b0101  # C4 in nb: vertex 1 sees two red neighbors
+
+        monkeypatch.setattr(solver, "_colorings", one_bad)
+        with pytest.raises(RuntimeError, match="enumerated coloring failed nb verification"):
+            bc.enumerate_colorings(bc.cycle(4), "nb")
+
     def test_k2(self):
         out = bc.enumerate_colorings(bc.complete(2), "cnb")
         assert [c.to_text() for c in out.colorings] == ["BR", "RB"]
