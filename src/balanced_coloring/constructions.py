@@ -11,9 +11,9 @@ members come only from ``graphs.build_family``, which refuses orders of
 member once and asks the generic certificates of ``coloring``, the chain
 ``solve`` reads too (reporting the leaf bound ahead of degree parity),
 before the family's own theorems; ``characterize_circulant`` answers from
-the spec and verifies a witness on ``build_family``'s member. Colorers of
-products and embeddings use the graph operators of ``graphs`` rather than
-building rows by hand.
+the spec by one 2-adic rule, verifying a witness on ``build_family``'s
+member. Colorers of products and embeddings use the graph operators of
+``graphs`` rather than building rows by hand.
 """
 
 from __future__ import annotations
@@ -232,44 +232,13 @@ def circulant_reduce(spec: CirculantSpec) -> tuple[int, CirculantSpec]:
     return t, CirculantSpec(spec.n // t, tuple(d // t for d in spec.lengths))
 
 
-def _lift_reduced_coloring(c_reduced: Coloring, t: int, n: int) -> Coloring:
-    """Pull a coloring of the reduced circulant back to the original: the
-    copy containing vertex v is indexed by v mod t and walks in steps of t,
-    so v plays reduced vertex v // t."""
-    return Coloring(n, ((1 << t) - 1) * spread(c_reduced.bits, t))
-
-
-def _cubic_rule(spec: CirculantSpec) -> CharacterizationVerdict:
-    """Reduced lengths {d, n/2}: closed-balanced exactly when 4 divides n."""
-    n = spec.n
-    if n % 4 != 0:
-        return _no(f"reduced order {n} is not divisible by 4", "cubic-circulant")
-    return _yes(
-        f"reduced order {n} is divisible by 4", "cubic-circulant",
-        Coloring(n, _periodic_bits(n, (0, 1))),
-    )
-
-
-def _quintic_rule(spec: CirculantSpec) -> CharacterizationVerdict:
-    """Reduced lengths {d1, d2, n/2} with n = 2 mod 4, the orders the paper
-    characterizes: closed-balanced exactly when d1 and d2 have opposite
-    parity, and then the alternating coloring is a witness."""
-    n = spec.n
-    d1, d2 = spec.lengths[0], spec.lengths[1]
-    if d1 % 2 == d2 % 2:
-        return _no(f"lengths {d1}, {d2} share parity with order 2 mod 4", "quintic-parity")
-    return _yes(
-        f"lengths {d1}, {d2} have opposite parity with order 2 mod 4", "quintic-parity",
-        Coloring(n, _periodic_bits(n, (0, 1))),
-    )
-
-
 def _two_adic_rule(spec: CirculantSpec, mode: Mode) -> CharacterizationVerdict:
     """Theorem circulant-2adic. Let a = v2(n) and f(x) = [cnb] + sum over
     lengths d of (x^d + x^(n-d)), a length n/2 counted once. The circulant
     is balanced in the mode exactly when Phi_(2^j) divides f for some
-    1 <= j <= a, and then "i red iff i mod 2^j < 2^(j-1)" is a witness; the
-    cubic rule and the quintic rule at orders 2 mod 4 are its j = 1 cases.
+    1 <= j <= a, and then "i red iff i mod 2^j < 2^(j-1)" is a witness. It
+    holds on any Z_n, connected or not; on the paper's cubic and quintic
+    (n / gcd = 2 mod 4) sets, divided by their gcd, it is the j = 1 case.
 
     A coloring c in {+1, -1}^n, as c(x) = sum of c_i x^i, is balanced
     exactly when f c = 0 mod x^n - 1: c(z) = 0 at each n-th root of unity z
@@ -303,9 +272,9 @@ def _two_adic_rule(spec: CirculantSpec, mode: Mode) -> CharacterizationVerdict:
 
 
 def characterize_cubic_circulant(n: int, d: int) -> CharacterizationVerdict:
-    """Full characterization of circulants with lengths {d, n/2}: after gcd
-    reduction they are balanced-colorable in closed mode exactly when the
-    reduced order is divisible by four."""
+    """Full characterization of circulants with lengths {d, n/2}: they are
+    balanced-colorable in closed mode exactly when 4 divides n / gcd(n, d)
+    (theorem cubic-circulant, the 2-adic rule's answer)."""
     n, d = _integer(n, "circulant order"), _integer(d, "connection length")
     if n < 2 or n % 2 != 0:
         raise FamilyParameterError("order must be a positive even integer")
@@ -319,11 +288,11 @@ def characterize_quintic_circulant(
 ) -> CharacterizationVerdict:
     """Characterize circulants with lengths {d1, d2, n/2} in closed mode.
 
-    After gcd reduction, orders 2 mod 4 are decided by the parity rule
-    (colorable iff d1 and d2 have opposite parity). Orders 0 mod 4 are the
-    case the paper leaves open: they go through the rest of
-    characterize_circulant's chain (the constructive routes, then the
-    2-adic rule), which decides every one of them.
+    With t = gcd(n, d1, d2) and n / t = 2 mod 4, the paper's parity rule
+    (colorable iff d1 / t and d2 / t have opposite parity) is the 2-adic
+    rule's answer, named quintic-parity. The other members, n / t = 0 mod
+    4, are the case the paper leaves open: the constructive routes answer
+    first, then the 2-adic rule, which decides every one of them.
 
     Its j = a case has a closed form. For reduced {d1, d2, n/2} with 4 | n
     and a = v2(n), Phi_(2^a) divides the symbol f exactly when
@@ -348,15 +317,14 @@ def characterize_quintic_circulant(
 def characterize_circulant(spec: CirculantSpec, mode: Mode = "cnb") -> CharacterizationVerdict:
     """Best theorem-only verdict for an arbitrary circulant.
 
-    Applies the degree-parity obstruction, gcd reduction, the cubic
-    characterization and the quintic one (orders 2 mod 4), the
-    constructive routes, and last the 2-adic rule (theorem
-    ``circulant-2adic``), which decides every circulant, so the verdict is
-    never unknown. Each step answers with its own theorem or passes to the
-    next, so the quintic open case (orders 0 mod 4) reaches the 2-adic rule
-    too. A "no" comes from the spec alone, at any order, in
-    O(|lengths| log n); a "yes" verifies its witness on ``build_family``'s
-    member.
+    After the degree-parity obstruction, the 2-adic rule (theorem
+    ``circulant-2adic``) decides every circulant, so the verdict is never
+    unknown. It answers the paper's families under the paper's names
+    (``cubic-circulant``; ``quintic-parity`` at n / gcd = 2 mod 4), with
+    odd i red at j = 1 as in the paper's figures. Any other set takes the
+    first constructive route that applies, else the rule's answer. A "no"
+    comes from the spec alone, at any order, in O(|lengths| log n); a "yes"
+    verifies its witness on ``build_family``'s member.
     """
     check_mode(mode)
     verdict = _circulant_verdict(spec, mode)
@@ -372,18 +340,19 @@ def _circulant_verdict(spec: CirculantSpec, mode: Mode) -> CharacterizationVerdi
         return _no("every degree is even, closed balance needs odd degrees", "degree-parity")
     if mode == "nb" and has_half:
         return _no("every degree is odd, open balance needs even degrees", "degree-parity")
-    t, reduced = circulant_reduce(spec)
-    if t > 1:
-        inner = _circulant_verdict(reduced, mode)
-        lifted = None if inner.witness is None else _lift_reduced_coloring(inner.witness, t, n)
-        return replace(inner, reason=f"{inner.reason} (gcd reduction by {t})", witness=lifted)
-    # past the parity checks, cnb implies the half length is present; the
-    # quintic rule is a theorem only at orders 2 mod 4, and the paper's open
-    # case (0 mod 4) goes on like any other circulant
+    # past parity a cnb set holds n/2: the paper's {d, n/2}, and {d1, d2, n/2}
+    # at n / gcd = 2 mod 4
+    paper = None
     if mode == "cnb" and len(spec.lengths) == 2:
-        return _cubic_rule(spec)
-    if mode == "cnb" and len(spec.lengths) == 3 and n % 4 == 2:
-        return _quintic_rule(spec)
+        paper = "cubic-circulant"
+    elif mode == "cnb" and len(spec.lengths) == 3 and n // spec.gcd_step % 4 == 2:
+        paper = "quintic-parity"
+    if paper is not None:
+        rule = _two_adic_rule(spec, mode)
+        if rule.witness is None:
+            return replace(rule, theorem=paper)
+        # the paper's figures color odd i red: the same blocks, colors swapped
+        return _yes(rule.reason.replace(" < ", " >= "), paper, rule.witness.flip())
     routes = _circulant_routes(spec, mode)
     if routes:
         name, col = routes[0]

@@ -11,7 +11,7 @@ import functools
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, Sequence
 
 import pytest
@@ -65,6 +65,43 @@ def brute_force_masks(g: Graph, mode: str) -> list[int]:
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def cayley(orders: Sequence[int], S: Sequence[tuple[int, ...]]) -> Graph:
+    """Cay(Z_n1 x ... x Z_nk, S), each element numbered in mixed radix with
+    the first coordinate most significant, the numbering of
+    ``graphs.cartesian``; S must be closed under negation and miss 0."""
+    elements = list(product(*(range(m) for m in orders)))
+    index = {x: i for i, x in enumerate(elements)}
+    edges = [
+        (index[x], index[tuple((a + b) % m for a, b, m in zip(x, s, orders))])
+        for x in elements for s in S
+    ]
+    return Graph.from_edges(len(elements), edges)
+
+
+def character_rule(orders: Sequence[int], S: Sequence[tuple[int, ...]], mode: Mode) -> bool:
+    """Whether [cnb] + sum over s in S of chi(s) = 0 for some character chi
+    of order 2^j >= 2 of Z_n1 x ... x Z_nk: constructions._two_adic_rule on
+    an abelian group. With 2^(e_i) the 2-part of n_i, 2^J the largest of
+    them and zeta a primitive 2^J-th root of unity, such characters are
+    chi_a(x) = zeta^(sum of a_i x_i 2^(J - e_i)), a_i mod 2^(e_i), not all
+    0. The sum is tested in Z[zeta] exactly: modulo Phi_(2^J) = x^H + 1,
+    H = 2^(J-1), the exponent e < 2^J folds to e mod H with sign
+    (-1)^(e // H), and the sum is 0 exactly when the folded terms cancel."""
+    twos = [m & -m for m in orders]
+    top = max(twos)
+    for a in product(*(range(t) for t in twos)):
+        if not any(a):
+            continue
+        folded = [0] * (top // 2)
+        folded[0] += mode == "cnb"
+        for s in S:
+            e = sum(ai * si * (top // t) for ai, si, t in zip(a, s, twos)) % top
+            folded[e % (top // 2)] += -1 if 2 * e >= top else 1
+        if not any(folded):
+            return True
+    return False
 
 
 # graph6 reference: one loop iteration per upper-triangle bit, no binascii.

@@ -1,7 +1,9 @@
 """Constructive colorers and characterizations against the exact solver."""
 
+import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -10,7 +12,7 @@ import balanced_coloring as bc
 from balanced_coloring import CirculantSpec, Coloring, constructions, linalg
 from balanced_coloring.coloring import leaf_overload
 
-from conftest import brute_force_masks, random_graph
+from conftest import brute_force_masks, cayley, character_rule, random_graph
 
 
 class TestEmbeddings:
@@ -309,6 +311,115 @@ class TestQuinticCirculants:
                     assert bc.verify_cnb(g, block) == holds, (n, d1, d2)
                     congruent += holds
         assert congruent > 0
+
+
+def _every_circulant(top):
+    for n in range(1, top + 1):
+        pool = range(1, n // 2 + 1)
+        for k in range(1, len(pool) + 1):
+            for lengths in itertools.combinations(pool, k):
+                yield CirculantSpec(n, lengths)
+
+
+class TestPaperNamesOnTheRule:
+    """The 2-adic rule decides every circulant past degree parity; the
+    paper's theorem names label its answers on the paper's families."""
+
+    @pytest.fixture(scope="class")
+    def verdicts(self):
+        return [(spec, mode, bc.characterize_circulant(spec, mode))
+                for spec in _every_circulant(24) for mode in ("cnb", "nb")]
+
+    def test_names_label_exactly_the_papers_families(self, verdicts):
+        named = set()
+        for spec, mode, v in verdicts:
+            n, lengths = spec.n, spec.lengths
+            closed = mode == "cnb" and n % 2 == 0 and n // 2 in lengths
+            cubic = closed and len(lengths) == 2
+            quintic = closed and len(lengths) == 3 and n // spec.gcd_step % 4 == 2
+            assert (v.theorem == "cubic-circulant") == cubic, (spec, mode, v)
+            assert (v.theorem == "quintic-parity") == quintic, (spec, mode, v)
+            named.add((v.theorem, v.value, spec.gcd_step > 1))
+        for theorem in ("cubic-circulant", "quintic-parity"):
+            for value in ("yes", "no"):
+                assert (theorem, value, True) in named and (theorem, value, False) in named
+
+    def test_rule_reasons_describe_their_witness(self, verdicts):
+        phases = set()
+        for spec, mode, v in verdicts:
+            if v.value != "yes" or v.theorem not in (
+                "circulant-2adic", "cubic-circulant", "quintic-parity"
+            ):
+                continue
+            period, sign, h = re.search(r"i red iff i mod (\d+) (<|>=) (\d+)$", v.reason).groups()
+            low = sign == "<"
+            stated = sum(1 << i for i in range(spec.n) if (i % int(period) < int(h)) == low)
+            assert v.witness.bits == stated, (spec, mode, v)
+            phases.add((v.theorem, sign))
+        assert phases == {("circulant-2adic", "<"), ("cubic-circulant", ">="),
+                          ("quintic-parity", ">=")}
+
+    @pytest.mark.parametrize("n, lengths, theorem, text", [
+        (24, (2, 12), "cubic-circulant", "BBRR" * 6),
+        (42, (3, 6, 21), "quintic-parity", "BR" * 21),
+    ])
+    def test_members_that_are_not_reduced(self, n, lengths, theorem, text):
+        v = bc.characterize_circulant(CirculantSpec(n, lengths), "cnb")
+        assert (v.value, v.theorem, v.witness.to_text()) == ("yes", theorem, text)
+        assert bc.verify_cnb(bc.circulant(n, lengths), v.witness)
+
+
+class TestCharacterRule:
+    """character_rule, the 2-adic rule on Z_n1 x ... x Z_nk, against solve
+    on abelian Cayley graphs built from the same (orders, S)."""
+
+    @staticmethod
+    def _agrees(orders, S, modes=("cnb", "nb")):
+        g = cayley(orders, S)
+        for mode in modes:
+            expected = bc.solve(g, mode).status == "sat"
+            assert character_rule(orders, S, mode) == expected, (orders, S, mode)
+        return g
+
+    def test_circulants_against_the_2adic_rule(self):
+        for spec in _every_circulant(16):
+            S = sorted({(e,) for d in spec.lengths for e in (d, spec.n - d)})
+            for mode in ("cnb", "nb"):
+                rule = constructions._two_adic_rule(spec, mode)
+                assert character_rule((spec.n,), S, mode) == (rule.value == "yes"), (spec, mode)
+
+    def test_prisms(self):
+        for n in range(3, 21):
+            g = self._agrees((2, n), [(1, 0), (0, 1), (0, n - 1)])
+            assert g == bc.prism(n)
+
+    def test_hypercubes(self):
+        for d in range(1, 8):
+            units = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+            assert self._agrees((2,) * d, units) == bc.hypercube(d)
+
+    def test_tori(self):
+        for a in range(3, 9):
+            for b in range(a, 9):
+                g = self._agrees((a, b), [(1, 0), (a - 1, 0), (0, 1), (0, b - 1)])
+                assert g == bc.cartesian(bc.cycle(a), bc.cycle(b))
+
+    def test_complete_bipartite_nb(self):
+        for m in range(1, 7):
+            g = self._agrees((2, m), [(1, x) for x in range(m)], ("nb",))
+            assert g == bc.complete_bipartite(m, m)
+
+    def test_random_cayley_graphs(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            a = rng.randrange(1, 13)
+            b = rng.randrange(1, 24 // a + 1)
+            others = [x for x in itertools.product(range(a), range(b)) if any(x)]
+            if not others:
+                continue
+            picked = rng.sample(others, rng.randrange(1, len(others) + 1))
+            S = sorted({y for x, z in picked for y in ((x, z), (-x % a, -z % b))})
+            self._agrees((a, b), S)
 
 
 class TestGeneralizedPetersen:
