@@ -25,8 +25,6 @@ from .solver import (
 )
 from .trees import MalformedScriptError, NotATreeError, TreeBuildScript, decompose_cnbc_tree, replay
 
-_WORKERS_ENV = "BALANCED_COLORING_WORKERS"
-
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
@@ -171,15 +169,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_census(args) -> int:
     budget = _budget(args)
-    workers = args.workers
-    if workers is None:
-        raw = os.environ.get(_WORKERS_ENV, "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise InputError(f"{_WORKERS_ENV} must be an integer, got {raw!r}") from None
     graphs = g6.iter_graph6(_graph6_lines(args.input))
-    for outcome in census(graphs, args.mode, budget, workers=workers):
+    for outcome in census(graphs, args.mode, budget, workers=args.workers):
         d = outcome.as_dict()
         if args.format == "json":
             print(json.dumps(d))
@@ -310,10 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("cnb", "nb"), default="cnb")
     p.add_argument("--format", choices=("json", "tsv"), default="json")
     _add_budget(p)
-    p.add_argument(
-        "--workers", type=int,
-        help=f"parallel workers (default ${_WORKERS_ENV} or 1)",
-    )
+    p.add_argument("--workers", type=int, default=1, help="parallel workers")
     p.set_defaults(func=_cmd_census)
 
     p = subs.add_parser("family", help="theorem verdict for a family member")

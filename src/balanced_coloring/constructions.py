@@ -175,12 +175,14 @@ def circulant_constructions(
 ) -> list[tuple[str, Coloring]]:
     """Every constructive circulant coloring that applies, verified.
 
-    Routes: "alternating" (vertex i red iff i odd; orders 2 mod 4 with the
-    half length present and the remaining lengths split evenly by parity),
-    "half-period" (red iff parity of i flips across the half turn; orders
-    0 mod 4 whose length set is closed under d -> n/2 - d away from n/4),
-    and "mod4-blocks" (red iff i is 0 or 1 mod 4; residue-count condition
-    on the lengths depending on n mod 8).
+    Each route is one divisibility test of the symbol f (``_phi_divides``):
+    a pattern balances exactly when f vanishes on the n-th roots of unity
+    where the pattern's transform lives. "alternating" (i red iff i odd;
+    n even, nb or n = 2 mod 4) lives at z = -1: x + 1 | f. "half-period"
+    (c_i = (-1)^i s_i, s = +1 on the first half turn; 4 | n) lives at the
+    odd powers of zeta, the roots of x^(n/2) + 1: x^(n/2) + 1 | f.
+    "mod4-blocks" (i red iff i mod 4 < 2; cnb, 4 | n) lives at +-i:
+    x^2 + 1 | f.
     """
     check_mode(mode)
     g = build_family("circulant", spec.n, spec.lengths)
@@ -189,30 +191,18 @@ def circulant_constructions(
 
 
 def _circulant_routes(spec: CirculantSpec, mode: Mode) -> list[tuple[str, Coloring]]:
+    # each pattern is valid wherever its test holds; the domains stay as
+    # they were only so that no verdict changes its name
     n = spec.n
-    lengths = set(spec.lengths)
-    # degree parity: cnb needs the half length (odd degrees), nb its absence
-    if (mode == "cnb") != (n % 2 == 0 and n // 2 in lengths):
-        return []
-    below = [d for d in lengths if 2 * d != n]
     results: list[tuple[str, Coloring]] = []
-
-    evens = sum(1 for d in below if d % 2 == 0)
-    if n % 2 == 0 and 2 * evens == len(below) and (mode == "nb" or n % 4 == 2):
+    if n % 2 == 0 and (mode == "nb" or n % 4 == 2) and _phi_divides(spec, mode, 1):
         results.append(("alternating", Coloring(n, _periodic_bits(n, (0, 1)))))
-
-    if n % 4 == 0:
-        quarter = n // 4
-        core = {d for d in below if d != quarter}
-        if all((n // 2 - d) in core for d in core):
-            # the alternating pattern, flipped on the first half turn
-            bits = _periodic_bits(n, (0, 1)) ^ ((1 << n // 2) - 1)
-            results.append(("half-period", Coloring(n, bits)))
-
-    if mode == "cnb" and n % 4 == 0:
-        s1, s2, _ = spec.residue_counts()
-        if (n % 8 == 0 and s2 == s1 + 1) or (n % 8 == 4 and s2 == s1):
-            results.append(("mod4-blocks", Coloring(n, _periodic_bits(n, (1, 1, 0, 0)))))
+    if n % 4 == 0 and _phi_divides(spec, mode, n // 2):
+        # the alternating pattern, flipped on the first half turn
+        bits = _periodic_bits(n, (0, 1)) ^ ((1 << n // 2) - 1)
+        results.append(("half-period", Coloring(n, bits)))
+    if mode == "cnb" and n % 4 == 0 and _phi_divides(spec, mode, 2):
+        results.append(("mod4-blocks", Coloring(n, _periodic_bits(n, (1, 1, 0, 0)))))
     return results
 
 
@@ -232,13 +222,27 @@ def circulant_reduce(spec: CirculantSpec) -> tuple[int, CirculantSpec]:
     return t, CirculantSpec(spec.n // t, tuple(d // t for d in spec.lengths))
 
 
+def _phi_divides(spec: CirculantSpec, mode: Mode, h: int) -> bool:
+    """Whether x^h + 1 divides the symbol f(x) = [cnb] + sum over lengths
+    d of (x^d + x^(n-d)), a length n/2 counted once. Modulo x^h + 1,
+    x^e = (-1)^(e // h) x^(e mod h), so it divides f exactly when the
+    exponents of f, folded so, cancel. That is O(|lengths|), with no
+    matrix and no bound on n."""
+    n = spec.n
+    folded = {0: 1} if mode == "cnb" else {}
+    for d in spec.lengths:
+        for e in {d, n - d}:  # n/2 once
+            folded[e % h] = folded.get(e % h, 0) + (-1 if e // h % 2 else 1)
+    return not any(folded.values())
+
+
 def _two_adic_rule(spec: CirculantSpec, mode: Mode) -> CharacterizationVerdict:
-    """Theorem circulant-2adic. Let a = v2(n) and f(x) = [cnb] + sum over
-    lengths d of (x^d + x^(n-d)), a length n/2 counted once. The circulant
-    is balanced in the mode exactly when Phi_(2^j) divides f for some
-    1 <= j <= a, and then "i red iff i mod 2^j < 2^(j-1)" is a witness. It
-    holds on any Z_n, connected or not; on the paper's cubic and quintic
-    (n / gcd = 2 mod 4) sets, divided by their gcd, it is the j = 1 case.
+    """Theorem circulant-2adic. Let a = v2(n) and f the symbol of
+    ``_phi_divides``. The circulant is balanced in the mode exactly when
+    Phi_(2^j) = x^(2^(j-1)) + 1 divides f for some 1 <= j <= a, and then
+    "i red iff i mod 2^j < 2^(j-1)" is a witness. It holds on any Z_n,
+    connected or not; on the paper's cubic and quintic (n / gcd = 2 mod 4)
+    sets, divided by their gcd, it is the j = 1 case.
 
     A coloring c in {+1, -1}^n, as c(x) = sum of c_i x^i, is balanced
     exactly when f c = 0 mod x^n - 1: c(z) = 0 at each n-th root of unity z
@@ -247,20 +251,11 @@ def _two_adic_rule(spec: CirculantSpec, mode: Mode) -> CharacterizationVerdict:
     entries are an odd number of +-1s: impossible. Sufficiency: f is
     integral, so it vanishes at every primitive 2^j-th root; the block
     pattern has period 2^j and changes sign under a shift by 2^(j-1), so
-    c(z) = 0 at every other n-th root z. Test: Phi_(2^j) = x^h + 1 with
-    h = 2^(j-1), and x^e = (-1)^(e // h) x^(e mod h) modulo it, so it
-    divides f exactly when the exponents of f, folded so, cancel. That is
-    O(|lengths|) per j, with no matrix and no bound on n.
+    c(z) = 0 at every other n-th root z.
     """
-    n = spec.n
-    exponents = [0] if mode == "cnb" else []
-    exponents += [e for d in spec.lengths for e in {d, n - d}]  # n/2 once
-    h = 1
+    n, h = spec.n, 1
     while n % (2 * h) == 0:
-        folded: dict[int, int] = {}
-        for e in exponents:
-            folded[e % h] = folded.get(e % h, 0) + (-1 if e // h % 2 else 1)
-        if not any(folded.values()):
+        if _phi_divides(spec, mode, h):
             return _yes(
                 f"Phi_{2 * h} divides the symbol: i red iff i mod {2 * h} < {h}",
                 "circulant-2adic", Coloring(n, _periodic_bits(n, (1,) * h + (0,) * h)),
@@ -548,12 +543,7 @@ def _family_rule(kind: str, params: tuple, mode: Mode) -> CharacterizationVerdic
         why = "all closed neighborhoods coincide, forcing one color on everything"
         return _no(why, "closed-neighborhood-twins")
     if kind == "cycle":  # cnb: even degrees
-        if n % 4 == 0:
-            return _yes(
-                f"cycle length {n} divisible by 4", "cycle-mod4",
-                Coloring(n, _periodic_bits(n, (1, 1, 0, 0))),
-            )
-        return _no(f"cycle length {n} not divisible by 4", "cycle-mod4")
+        return replace(_two_adic_rule(CirculantSpec(n, (1,)), mode), theorem="cycle-mod4")
     if kind == "wheel":  # nb: rim degree 3; cnb: rim lengths 0, 1 and 2 mod 4
         if n == 3:
             return _yes(

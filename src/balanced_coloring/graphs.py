@@ -311,15 +311,6 @@ class CirculantSpec:
         """gcd of the connection lengths together with n."""
         return math.gcd(self.n, *self.lengths)
 
-    def residue_counts(self) -> tuple[int, int, int]:
-        """Counts (s1, s2, s3) of lengths strictly below n/2 that are
-        congruent to 0, 2, and 1 or 3 mod 4 respectively."""
-        below = [d for d in self.lengths if 2 * d != self.n]
-        s1 = sum(1 for d in below if d % 4 == 0)
-        s2 = sum(1 for d in below if d % 4 == 2)
-        s3 = sum(1 for d in below if d % 2 == 1)
-        return s1, s2, s3
-
     def build(self) -> Graph:
         rows = [0] * self.n
         for d in self.lengths:

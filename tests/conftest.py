@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import pytest
 
-from balanced_coloring import Graph
+from balanced_coloring import CirculantSpec, Graph
 from balanced_coloring.coloring import Mode, _balance_rows, _certificates, _twin_groups
 from balanced_coloring.graph6 import Graph6Error
 from balanced_coloring.graphs import _bfs_layers, bits, is_tree
@@ -102,6 +102,51 @@ def character_rule(orders: Sequence[int], S: Sequence[tuple[int, ...]], mode: Mo
         if not any(folded):
             return True
     return False
+
+
+def ref_circulant_routes(spec: CirculantSpec, mode: Mode) -> list[tuple[str, int]]:
+    """The circulant routes that apply, as (name, red mask), from the
+    length-class arithmetic they were first written in. Degree parity
+    first (cnb needs the half length, nb its absence). "alternating" (n
+    even, nb or n = 2 mod 4): the lengths below n/2 split evenly by parity.
+    "half-period" (4 | n): those lengths other than n/4 are closed under
+    d -> n/2 - d. "mod4-blocks" (cnb, 4 | n): with s1 and s2 the lengths
+    below n/2 that are 0 and 2 mod 4, s2 = s1 + 1 at n = 0 mod 8 and
+    s2 = s1 at n = 4 mod 8."""
+    n, lengths = spec.n, set(spec.lengths)
+    if (mode == "cnb") != (n % 2 == 0 and n // 2 in lengths):
+        return []
+    below = [d for d in lengths if 2 * d != n]
+    routes = []
+    evens = sum(d % 2 == 0 for d in below)
+    if n % 2 == 0 and 2 * evens == len(below) and (mode == "nb" or n % 4 == 2):
+        routes.append(("alternating", sum(1 << i for i in range(n) if i % 2)))
+    if n % 4 == 0:
+        core = {d for d in below if 4 * d != n}
+        if all(n // 2 - d in core for d in core):
+            mask = sum(1 << i for i in range(n) if (i % 2 == 1) != (i < n // 2))
+            routes.append(("half-period", mask))
+    if mode == "cnb" and n % 4 == 0:
+        s1, s2 = sum(d % 4 == 0 for d in below), sum(d % 4 == 2 for d in below)
+        if s2 - s1 == (n % 8 == 0):
+            routes.append(("mod4-blocks", sum(1 << i for i in range(n) if i % 4 < 2)))
+    return routes
+
+
+def ref_symbol_remainder(spec: CirculantSpec, mode: Mode, h: int) -> list[int]:
+    """The remainder of the symbol f(x) = [cnb] + sum over lengths d of
+    (x^d + x^(n-d)), a length n/2 counted once, modulo x^h + 1, by long
+    division on its dense coefficient list."""
+    n = spec.n
+    f = [0] * n
+    f[0] += mode == "cnb"
+    for d in spec.lengths:
+        for e in {d, n - d}:
+            f[e] += 1
+    for k in range(n - 1, h - 1, -1):
+        f[k - h] -= f[k]
+        f[k] = 0
+    return f[:h]
 
 
 # graph6 reference: one loop iteration per upper-triangle bit, no binascii.

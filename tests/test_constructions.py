@@ -12,7 +12,10 @@ import balanced_coloring as bc
 from balanced_coloring import CirculantSpec, Coloring, constructions, linalg
 from balanced_coloring.coloring import leaf_overload
 
-from conftest import brute_force_masks, cayley, character_rule, random_graph
+from conftest import (
+    brute_force_masks, cayley, character_rule, random_graph, ref_circulant_routes,
+    ref_symbol_remainder,
+)
 
 
 class TestEmbeddings:
@@ -153,6 +156,31 @@ class TestCirculantRoutes:
             col = bc.color_circulant(spec, "cnb")
             assert col is not None
             assert bc.verify_cnb(spec.build(), col)
+
+    def test_routes_against_length_class_arithmetic(self):
+        # the fold tests at h = 1, n/2 and 2 give the names, order and bits
+        # the routes' parity, residue-count and symmetric-core conditions did
+        seen = set()
+        for spec in _every_circulant(24):
+            for mode in ("cnb", "nb"):
+                routes = [(name, col.bits) for name, col in bc.circulant_constructions(spec, mode)]
+                assert routes == ref_circulant_routes(spec, mode), (spec, mode)
+                seen.update((name, mode) for name, _ in routes)
+        assert seen == {("alternating", "cnb"), ("alternating", "nb"), ("half-period", "cnb"),
+                        ("half-period", "nb"), ("mod4-blocks", "cnb")}
+
+    def test_fold_test_against_long_division(self):
+        # every h with 2h | n, not only powers of two
+        divides = set()
+        for spec in _every_circulant(24):
+            for mode in ("cnb", "nb"):
+                for h in range(1, spec.n // 2 + 1):
+                    if spec.n % (2 * h) == 0:
+                        rest = ref_symbol_remainder(spec, mode, h)
+                        got = constructions._phi_divides(spec, mode, h)
+                        assert got == (not any(rest)), (spec, mode, h, rest)
+                        divides.add((got, h & (h - 1) == 0))
+        assert divides == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_periodic_bits_against_bit_by_bit(self):
         # every pattern the routes and the 2-adic rule pass in
@@ -367,6 +395,28 @@ class TestPaperNamesOnTheRule:
         v = bc.characterize_circulant(CirculantSpec(n, lengths), "cnb")
         assert (v.value, v.theorem, v.witness.to_text()) == ("yes", theorem, text)
         assert bc.verify_cnb(bc.circulant(n, lengths), v.witness)
+
+
+class TestCycleOnTheRule:
+    """``cycle`` is the 2-adic rule on C_n(1), under the name cycle-mod4."""
+
+    def test_cycles_to_64(self):
+        for n in range(3, 65):
+            for mode in ("cnb", "nb"):
+                v = bc.characterize_family("cycle", (n,), mode)
+                assert (v.value == "yes") == (mode == "nb" and n % 4 == 0), (n, mode, v)
+                if mode == "cnb":
+                    continue  # even degrees: the certificates answer first
+                assert v.theorem == "cycle-mod4", (n, v)
+                if v.value == "no":
+                    assert v.witness is None
+                    continue
+                assert v.witness.to_text() == "RRBB" * (n // 4)
+                period, sign, h = re.search(
+                    r"i red iff i mod (\d+) (<|>=) (\d+)$", v.reason).groups()
+                low = sign == "<"
+                stated = sum(1 << i for i in range(n) if (i % int(period) < int(h)) == low)
+                assert v.witness.bits == stated, (n, v)
 
 
 class TestCharacterRule:
