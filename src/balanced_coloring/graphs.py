@@ -7,6 +7,12 @@ bitsets: the verification and search code is dominated by popcounts over
 neighborhoods, and ``int.bit_count`` is the cheapest primitive for that.
 The four standard products share one kernel and number vertex (i, j) as
 i * h.n + j; complete bipartite graphs and stars are joins of edgeless ones.
+
+The vertex-transitive families are built a whole row at a time. Row i of a
+circulant (and of a cycle) is row 0 rotated up by i. A hypercube doubles:
+Q_(b+1) is two copies of Q_b joined by the matching v ~ v + 2^b. A
+generalized Petersen graph or a prism is two rotated cycles, the outer on
+0..n-1 and the inner on n..2n-1, plus the matching i ~ n + i.
 """
 
 from __future__ import annotations
@@ -147,7 +153,7 @@ def cycle(n: int) -> Graph:
     """Cycle 0-1-...-(n-1)-0."""
     if n < 3:
         raise FamilyParameterError("cycle needs at least three vertices")
-    return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+    return Graph._trusted(n, tuple(_cycle_rows(n)))
 
 
 def star(leaves: int) -> Graph:
@@ -187,26 +193,19 @@ def gen_petersen(n: int, d: int) -> Graph:
         raise FamilyParameterError("outer cycle needs at least three vertices")
     if not 1 <= d <= (n - 1) // 2:
         raise FamilyParameterError(f"inner step must lie in 1..{(n - 1) // 2}")
-    edges = []
-    for i in range(n):
-        edges.append((i, (i + 1) % n))
-        edges.append((i, n + i))
-        edges.append((n + i, n + (i + d) % n))
-    return Graph.from_edges(2 * n, edges)
+    return _two_cycles(_cycle_rows(n), _rotations(n, 1 << d | 1 << n - d))
 
 
 def hypercube(dim: int) -> Graph:
     """Hypercube whose vertices are dim-bit labels, edges at Hamming distance 1."""
     if dim < 0:
         raise FamilyParameterError("dimension must be non-negative")
-    n = 1 << dim
-    rows = []
-    for v in range(n):
-        row = 0
-        for b in range(dim):
-            row |= 1 << (v ^ (1 << b))
-        rows.append(row)
-    return Graph._trusted(n, tuple(rows))
+    rows = [0]
+    for b in range(dim):
+        h = 1 << b
+        low = [r | 1 << v + h for v, r in enumerate(rows)]
+        rows = low + [r << h | 1 << v for v, r in enumerate(rows)]
+    return Graph._trusted(1 << dim, tuple(rows))
 
 
 def prism(n: int) -> Graph:
@@ -214,7 +213,36 @@ def prism(n: int) -> Graph:
     perfect matching i to n+i. Equals cartesian(K2, C_n) under its numbering."""
     if n < 3:
         raise FamilyParameterError("prism needs a cycle of length at least three")
-    return cartesian(complete(2), cycle(n))
+    rim = _cycle_rows(n)
+    return _two_cycles(rim, rim)
+
+
+def _rotations(n: int, row0: int) -> list[int]:
+    """Rows 0..n-1 of a circulant on 0..n-1 whose row 0 is row0: row i is
+    row0 rotated up by i, one shift and at most one wrap per row. (A wide
+    shift of row0 | row0 << n would pass every row through 2n bits.)"""
+    rows = []
+    r = row0
+    for _ in range(n):
+        rows.append(r)
+        r <<= 1
+        if r >> n:
+            r ^= 1 << n | 1
+    return rows
+
+
+def _cycle_rows(n: int) -> list[int]:
+    """Rows of the cycle 0-1-...-(n-1)-0."""
+    return _rotations(n, 0b10 | 1 << n - 1)
+
+
+def _two_cycles(outer: list[int], inner: list[int]) -> Graph:
+    """The circulant rows ``outer`` on 0..n-1 and ``inner`` moved to
+    n..2n-1, joined by the matching i ~ n + i."""
+    n = len(outer)
+    rows = [o | 1 << n + i for i, o in enumerate(outer)]
+    rows += [r << n | 1 << i for i, r in enumerate(inner)]
+    return Graph._trusted(2 * n, tuple(rows))
 
 
 # name: (arity, order of the member, builder); the order is computed from
@@ -312,12 +340,11 @@ class CirculantSpec:
         return math.gcd(self.n, *self.lengths)
 
     def build(self) -> Graph:
-        rows = [0] * self.n
+        n = self.n
+        row0 = 0
         for d in self.lengths:
-            for i in range(self.n):
-                rows[i] |= 1 << ((i + d) % self.n)
-                rows[i] |= 1 << ((i - d) % self.n)
-        return Graph._trusted(self.n, tuple(rows))
+            row0 |= 1 << d | 1 << n - d
+        return Graph._trusted(n, tuple(_rotations(n, row0)))
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,38 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def ref_family_graph(kind: str, params: tuple) -> Graph:
+    """A family member from its documented edge list through
+    ``Graph.from_edges``, one edge at a time. circulant (n, lengths):
+    i ~ i +- d mod n. cycle (n): i ~ i + 1 mod n. gp (n, d): the outer
+    cycle, spokes i - n+i and inner n+i ~ n + (i +- d mod n). prism (n):
+    gp with inner step 1. wheel (n): hub 0 joined to the cycle on 1..n.
+    hypercube (dim): labels at Hamming distance 1."""
+    if kind == "circulant":
+        n, lengths = params
+        edges = [(i, (i + s * d) % n) for d in lengths for s in (1, -1) for i in range(n)]
+        return Graph.from_edges(n, edges)
+    if kind == "cycle":
+        (n,) = params
+        return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    if kind in ("gp", "prism"):
+        n, d = params if kind == "gp" else (params[0], 1)
+        edges = []
+        for i in range(n):
+            edges += [(i, (i + 1) % n), (i, n + i)]
+            edges += [(n + i, n + (i + d) % n), (n + i, n + (i - d) % n)]
+        return Graph.from_edges(2 * n, edges)
+    if kind == "wheel":
+        (n,) = params
+        rim = range(1, n + 1)
+        return Graph.from_edges(n + 1, [(0, i) for i in rim] + [(i, i % n + 1) for i in rim])
+    if kind == "hypercube":
+        (dim,) = params
+        edges = [(v, v ^ 1 << b) for v in range(1 << dim) for b in range(dim)]
+        return Graph.from_edges(1 << dim, edges)
+    raise ValueError(f"no reference for {kind!r}")
+
+
 def cayley(orders: Sequence[int], S: Sequence[tuple[int, ...]]) -> Graph:
     """Cay(Z_n1 x ... x Z_nk, S), each element numbered in mixed radix with
     the first coordinate most significant, the numbering of

@@ -194,24 +194,17 @@ class TestCensus:
         s2 = [json.loads(l)["status"] for l in out2.strip().splitlines()]
         assert s1 == s2 == ["sat", "unsat", "unsat", "sat"]
 
-    def test_worker_env_is_not_read(self, capsys, tmp_path, monkeypatch):
-        # --workers is the only way to set the count
-        monkeypatch.setenv("BALANCED_COLORING_WORKERS", "x")
-        p = tmp_path / "one.g6"
-        p.write_text(g6.encode(bc.complete(2)) + "\n")
-        code, out, _ = run(capsys, "census", "--input", str(p))
-        assert code == 0 and jline(out)["status"] == "sat"
-
-    def test_workers_flag_overrides_bad_env(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("args", [
+        ("census",), ("census", "--workers", "1"), ("solve", "complete", "2"),
+    ], ids=["census", "census-workers-1", "solve"])
+    def test_worker_env_is_not_read(self, capsys, tmp_path, monkeypatch, args):
+        # --workers is the only way to set the count; nothing reads the variable
         monkeypatch.setenv("BALANCED_COLORING_WORKERS", "abc")
-        p = tmp_path / "one.g6"
-        p.write_text(g6.encode(bc.complete(2)) + "\n")
-        code, out, _ = run(capsys, "census", "--input", str(p), "--workers", "1")
-        assert code == 0 and jline(out)["status"] == "sat"
-
-    def test_bad_worker_env_leaves_solve_alone(self, capsys, monkeypatch):
-        monkeypatch.setenv("BALANCED_COLORING_WORKERS", "abc")
-        code, out, _ = run(capsys, "solve", "complete", "2")
+        if args[0] == "census":
+            p = tmp_path / "one.g6"
+            p.write_text(g6.encode(bc.complete(2)) + "\n")
+            args += ("--input", str(p))
+        code, out, _ = run(capsys, *args)
         assert code == 0 and jline(out)["status"] == "sat"
 
     def test_bad_line_ends_the_stream_after_earlier_results(self, capsys, tmp_path):

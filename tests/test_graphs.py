@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import balanced_coloring as bc
 from balanced_coloring import Coloring, Graph
 
-from conftest import random_graph
+from conftest import random_graph, ref_family_graph
 
 
 @st.composite
@@ -169,6 +169,53 @@ class TestFamilies:
     def test_circulant_lengths_may_be_any_iterable(self):
         spec = bc.CirculantSpec(12, iter([6, 1, 1]))
         assert spec.lengths == (1, 6)
+
+
+class TestBuildersAgainstDefinitions:
+    """The row builders (rotations of row 0, hypercube doubling, two
+    rotated cycles plus a matching) against each family's edge list."""
+
+    def test_every_small_circulant(self):
+        count = 0
+        for n in range(2, 25):
+            pool = range(1, n // 2 + 1)
+            for k in range(1, len(pool) + 1):
+                for lengths in combinations(pool, k):
+                    want = ref_family_graph("circulant", (n, lengths))
+                    assert bc.circulant(n, lengths) == want
+                    count += 1
+        assert count == sum((1 << n // 2) - 1 for n in range(2, 25))
+
+    @pytest.mark.parametrize("n", [40, 64, 128, 256])
+    def test_seeded_circulants(self, n):
+        rng = random.Random(n)
+        pool = range(1, n // 2 + 1)
+        for _ in range(200):
+            lengths = rng.sample(pool, rng.randrange(1, len(pool) + 1))
+            assert bc.circulant(n, lengths) == ref_family_graph("circulant", (n, lengths))
+
+    def test_gen_petersen(self):
+        for n in range(3, 41):
+            for d in range(1, (n - 1) // 2 + 1):
+                assert bc.gen_petersen(n, d) == ref_family_graph("gp", (n, d))
+
+    @pytest.mark.parametrize("kind, make", [
+        ("cycle", bc.cycle), ("prism", bc.prism), ("wheel", bc.wheel),
+    ])
+    def test_rotated_cycles(self, kind, make):
+        for n in range(3, 65):
+            assert make(n) == ref_family_graph(kind, (n,))
+
+    def test_prism_is_cartesian_k2_cycle(self):
+        for n in range(3, 65):
+            assert bc.prism(n) == bc.cartesian(bc.complete(2), bc.cycle(n))
+
+    def test_hypercube_doubles(self):
+        for dim in range(13):
+            q = bc.hypercube(dim)
+            assert q == ref_family_graph("hypercube", (dim,))
+            if dim:
+                assert q == bc.cartesian(bc.complete(2), bc.hypercube(dim - 1))
 
 
 class TestOperators:
@@ -354,6 +401,27 @@ class TestTrustedBuilders:
                 yield h
 
         assert self._revalidate(results()) == 1454
+
+    def test_large_members(self):
+        members = [
+            bc.circulant(1024, (1, 5, 512)),
+            bc.gen_petersen(500, 7),
+            bc.prism(500),
+            bc.hypercube(11),
+        ]
+        assert self._revalidate(members) == 4
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: bc.cycle(2), "cycle needs at least three vertices"),
+        (lambda: bc.gen_petersen(8, 4), "inner step must lie in 1..3"),
+        (lambda: bc.hypercube(-1), "dimension must be non-negative"),
+        (lambda: bc.circulant(8, (5,)), "connection lengths must lie in 1..4"),
+    ], ids=["cycle", "gp", "hypercube", "circulant"])
+    def test_domain_errors(self, make, message):
+        with pytest.raises(bc.FamilyParameterError) as info:
+            make()
+        assert type(info.value) is bc.FamilyParameterError
+        assert str(info.value) == message
 
     def test_outside_input_is_still_checked(self):
         with pytest.raises(ValueError, match="non-negative"):
