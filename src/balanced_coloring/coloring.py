@@ -54,6 +54,16 @@ class Coloring:
             raise ValueError("color bits set beyond the last vertex")
 
     @classmethod
+    def _trusted(cls, n: int, bits: int) -> Coloring:
+        """A coloring whose bits are known to lie below bit n, skipping the
+        checks of ``__post_init__``. Enumeration uses it once it has checked
+        every mask; ``Coloring`` itself always checks."""
+        c = object.__new__(cls)
+        _set_n(c, n)
+        _set_bits(c, bits)
+        return c
+
+    @classmethod
     def from_text(cls, text: str) -> Coloring:
         """Parse an 'R'/'B' string indexed by vertex id."""
         mask = 0
@@ -95,6 +105,13 @@ class Coloring:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Coloring({self.to_text()!r})"
+
+
+# Coloring._trusted fills the slots through their descriptors, past the
+# frozen __setattr__; an object.__setattr__ call per field costs more than
+# the checks it skips
+_set_n = Coloring.n.__set__  # type: ignore[attr-defined]
+_set_bits = Coloring.bits.__set__  # type: ignore[attr-defined]
 
 
 def _check_pair(g: Graph, c: Coloring) -> None:

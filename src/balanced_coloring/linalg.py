@@ -6,11 +6,11 @@ the red-minus-blue count of v's neighborhood, so c is balanced exactly when
 M c = 0.
 
 ``kernel_verdict`` brings M to reduced row echelon form modulo the
-Mersenne prime p = 2^31 - 1 in one pass over 64-bit slots (one fold per
-row update), which writes each pivot coordinate of a kernel vector as a
-fixed linear form in the free ones. A search over the signs of the free
-coordinates checks each pivot row as soon as all of its free variables
-are set.
+Mersenne prime p = 2^31 - 1: a forward elimination over 64-bit slots (one
+fold per row update), then a back-substitution over the free columns only,
+which writes each pivot coordinate of a kernel vector as a fixed linear
+form in the free ones. A search over the signs of the free coordinates
+checks each pivot row as soon as all of its free variables are set.
 
 Soundness of the mod-p stage. Let c in {+1, -1}^n satisfy M c = 0 over the
 integers. Then M c = 0 mod p, so c lies in the mod-p kernel, and c is the
@@ -39,8 +39,11 @@ can make the stage less decisive, never wrong.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 import time
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator, Literal, Sequence
 
 from .coloring import Coloring, Mode, _balance_rows, check_mode, verify
@@ -62,6 +65,8 @@ P = (1 << 31) - 1
 # carrying into the next slot.
 _W = 64
 _SLOT = (1 << _W) - 1
+_KW = 96  # slot width of the back-substitution's kernel vectors: n < 2^32
+_KW_SLOT = (1 << _KW) - 1
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -86,36 +91,58 @@ def echelon(rows: Sequence[int], n: int) -> tuple[list[int], list[int], list[lis
     and for pivot k the coefficients forms[k][t] (reduced mod P) with
     x[pivots[k]] = -sum over t of forms[k][t] * x[free[t]] on the kernel.
 
-    Rows drop one slot per column, so slot 0 is always the current column.
-    Each pivot column is eliminated from the finished pivot rows too, so at
-    a free column their slot 0 is their coefficient there. A waiting row
-    only gains multiples of pivot rows, which are 0 at every earlier free
-    column, so a later pivot's coefficients there are 0."""
+    A forward pass eliminates each pivot column from the rows still
+    waiting only, and keeps the normalized pivot row's tail, its slots for
+    the later columns. Rows drop one slot per column, so slot 0 is always
+    the current column. The reduced form is needed only at the free
+    columns, so a back-substitution from the last pivot to the first builds
+    the kernel vectors that are 1 at one free column and 0 at the others:
+    pivot k's coordinate in vector t is minus the dot product of its tail
+    with the vector's later coordinates, and forms[k][t] is that product.
+    The reduced form is unique, so any choice of pivot rows gives the same
+    output as Gauss-Jordan elimination."""
     ones = spread((1 << n) - 1, _W)
     low, high = ones * P, ones * ((1 << 33) - 1)
-    m = [_packed(r, n) for r in rows]
+    m = [_packed(r, n) for r in rows if r]  # the waiting rows
     pivots: list[int] = []
     free: list[int] = []
-    forms: list[list[int]] = []
+    tails: list[int] = []
     for col in range(n):
-        k = len(pivots)  # m[:k] are the finished pivot rows, in pivot order
-        hit = next((i for i in range(k, len(m)) if (m[i] & _SLOT) % P), -1)
+        hit = next((i for i, x in enumerate(m) if (x & _SLOT) % P), -1)
         if hit < 0:
             free.append(col)
-            for w, x in zip(forms, m):
-                w.append((x & _SLOT) % P)
             m = [x >> _W for x in m]
             continue
-        prow = m[hit]
-        m[hit], m[k] = m[k], 0
+        prow = m.pop(hit)
         inv = pow((prow & _SLOT) % P, -1, P)
         tail = _fold(_fold(prow * inv, low, high), low, high) >> _W
-        for i, x in enumerate(m):
+        waiting = []
+        for x in m:
             f = (x & _SLOT) % P
-            m[i] = _fold((x >> _W) + (P - f) * tail, low, high) if f else x >> _W
-        m[k] = tail
+            x = _fold((x >> _W) + (P - f) * tail, low, high) if f else x >> _W
+            if x:  # a zero row can never pivot
+                waiting.append(x)
+        m = waiting
         pivots.append(col)
-        forms.append([0] * len(free))
+        tails.append(tail)
+    forms: list[list[int]] = [[] for _ in pivots]
+    if not free:
+        return pivots, free, forms
+    # kernel[j]: coordinate j of every kernel vector, vector t in the _KW-bit
+    # slot t. Pivot entries are kept in 1..P, so a dot product with a tail
+    # (entries below 2^33) sums n terms below 2^64 in each slot.
+    kernel = [0] * n
+    for t, j in enumerate(free):
+        kernel[j] = 1 << _KW * t
+    shifts = range(0, _KW * len(free), _KW)
+    for k in range(len(pivots) - 1, -1, -1):
+        col = pivots[k]
+        tail = memoryview(tails[k].to_bytes(8 * (n - col - 1), sys.byteorder)).cast("Q")
+        if sys.byteorder == "big":
+            tail = tail[::-1]  # slot 0, column col + 1, first
+        dot = sum(map(operator.mul, filter(None, tail), compress(kernel[col + 1:], tail)))
+        forms[k] = [((dot >> s) & _KW_SLOT) % P for s in shifts]
+        kernel[col] = sum((P - a) << s for a, s in zip(forms[k], shifts))
     return pivots, free, forms
 
 

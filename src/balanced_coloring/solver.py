@@ -603,7 +603,9 @@ def enumerate_colorings(
     rows = {row: row.bit_count() for row in _balance_rows(g, mode)}.items()
     if any(2 * (r & m).bit_count() != k for m in masks for r, k in rows):
         raise RuntimeError(f"internal error: enumerated coloring failed {mode} verification")
-    colorings = tuple(Coloring(g.n, m) for m in masks)
+    if max(masks, default=0) >> g.n:  # a bit past the last vertex passes the test above
+        raise RuntimeError("internal error: enumerated coloring has bits beyond the last vertex")
+    colorings = tuple(Coloring._trusted(g.n, m) for m in masks)
     return EnumerationOutcome(colorings, capped, _stats(search, t0))
 
 

@@ -282,7 +282,7 @@ def ref_graph6_decode(text: str | bytes) -> Graph:
 
 # Linear-stage references: a plain Gauss-Jordan over lists of Python ints
 # mod p, with no packing and no delayed reduction, and the rank over the
-# rationals. The library's one-pass reduced echelon form must give the
+# rationals. The library's reduced echelon form must give the
 # same pivots, free columns and forms.
 def ref_reduced_echelon(
     rows: Sequence[int], n: int, p: int

@@ -84,6 +84,38 @@ class TestEchelon:
                 rows = _balance_rows(g, mode)
                 assert linalg.echelon(rows, n) == ref_reduced_echelon(rows, n, linalg.P)
 
+    @pytest.mark.parametrize("n", [24, 40, 64])
+    def test_planted_nullity(self, n):
+        # a seeded basis of n - nullity random rows, independent mod P at
+        # these seeds, padded to n rows with copies of its rows and zero rows
+        rng = random.Random(n)
+        for nullity in sorted({0, 1, 2, 5, 10, 20, n // 2, n - 1, n}):
+            basis = [rng.getrandbits(n) for _ in range(n - nullity)]
+            rows = basis + [rng.choice(basis + [0]) for _ in range(nullity)]
+            rng.shuffle(rows)
+            form = linalg.echelon(rows, n)
+            assert form == ref_reduced_echelon(rows, n, linalg.P), (n, nullity)
+            assert len(form[1]) == nullity, (n, nullity)
+
+    @pytest.mark.parametrize("n", [5, 24, 40, 64])
+    def test_rectangular_with_duplicates(self, n):
+        rng = random.Random(100 + n)
+        for count in (1, n // 2, n - 1, n + 1, 2 * n):
+            rows = [rng.getrandbits(n) for _ in range(min(count, n))]
+            rows += [rng.choice(rows) for _ in range(count - len(rows))]
+            rng.shuffle(rows)
+            assert linalg.echelon(rows, n) == ref_reduced_echelon(rows, n, linalg.P), count
+
+    @pytest.mark.parametrize("n", [5, 24, 40, 64])
+    def test_zero_rows_and_leading_zero_columns(self, n):
+        # the first `lead` columns are zero, so the first pivot comes late
+        rng = random.Random(200 + n)
+        for lead in (0, 1, n // 3, n - 1):
+            rows = [rng.getrandbits(n - lead) << lead for _ in range(n - n // 4)]
+            for _ in range(n // 4):
+                rows.insert(rng.randrange(len(rows) + 1), 0)
+            assert linalg.echelon(rows, n) == ref_reduced_echelon(rows, n, linalg.P), lead
+
 
 class TestHadamardExactness:
     """A nonzero minor of a 0/1 matrix of order r is at most

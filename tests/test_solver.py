@@ -122,6 +122,27 @@ class TestEnumeration:
         with pytest.raises(RuntimeError, match="enumerated coloring failed nb verification"):
             bc.enumerate_colorings(bc.cycle(4), "nb")
 
+    def test_output_check_rejects_a_bit_past_the_last_vertex(self, monkeypatch):
+        # no balance row reaches bit 4, so only the range check can catch it
+        real = solver._colorings
+
+        def out_of_range(*args):
+            yield from real(*args)
+            yield 0b10011  # C4 in nb: 0b0011 is balanced
+
+        monkeypatch.setattr(solver, "_colorings", out_of_range)
+        with pytest.raises(RuntimeError, match="bits beyond the last vertex"):
+            bc.enumerate_colorings(bc.cycle(4), "nb")
+
+    @pytest.mark.parametrize("g, mode", [(bc.complete_bipartite(6, 6), "nb"),
+                                         (bc.hypercube(4), "nb"), (bc.hypercube(5), "cnb")],
+                             ids=["K6,6-nb", "Q4-nb", "Q5-cnb"])
+    def test_colorings_equal_checked_ones(self, g, mode):
+        out = bc.enumerate_colorings(g, mode).colorings
+        checked = tuple(Coloring(g.n, c.bits) for c in out)
+        assert out and out == checked
+        assert [hash(c) for c in out] == [hash(c) for c in checked]
+
     def test_k2(self):
         out = bc.enumerate_colorings(bc.complete(2), "cnb")
         assert [c.to_text() for c in out.colorings] == ["BR", "RB"]
