@@ -225,7 +225,8 @@ def _cmd_tree(args) -> int:
             payload = json.loads(_read_text(args.script))
             script = TreeBuildScript.from_dict(payload)
             g, col = replay(script)
-        except (json.JSONDecodeError, MalformedScriptError) as exc:
+        # json.loads raises RecursionError on deeply nested arrays or objects
+        except (json.JSONDecodeError, RecursionError, MalformedScriptError) as exc:
             raise InputError(f"bad script: {exc}") from exc
         _emit(
             {

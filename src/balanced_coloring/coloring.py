@@ -363,9 +363,10 @@ def _twin_groups(rows: Sequence[int]) -> list[list[int]]:
 
 
 def leaf_force(g: Graph, mode: Mode) -> ForcedConstraints:
-    """The forced colors the solver's classes are built from: twin vertices
-    (``_twin_groups``) share a color, as consecutive ``same`` pairs, and in
-    cnb mode each leaf takes the color opposite its unique neighbor. A
+    """The forced colors: twin vertices (``_twin_groups``) share a color, as
+    consecutive ``same`` pairs, and in cnb mode each leaf takes the color
+    opposite its unique neighbor. ``_Search`` builds the solver's classes
+    itself, from the same two rules: ``_twin_groups`` and the leaf rule. A
     vertex carrying more than (deg+1)/2 leaves makes cnb infeasible
     outright (``leaf_overload``); no other contradiction can arise, since
     the pairs link each leaf group to one neighbor that has no twin."""

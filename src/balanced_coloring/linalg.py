@@ -17,18 +17,19 @@ integers. Then M c = 0 mod p, so c lies in the mod-p kernel, and c is the
 kernel vector that the echelon form assigns to c's own free coordinates,
 which are +-1. So every rational +-1 kernel vector is a mod-p kernel vector
 with +-1 free coordinates, and the sign search, which tries every +-1
-assignment of the free coordinates and keeps those whose pivot coordinates
-come out as +-1 mod p, meets it. Hence:
+assignment of the free coordinates until one's pivot coordinates come out
+as +-1 mod p, meets it unless it stops earlier. Hence:
 
 - mod-p nullity 0 (the rational nullity is at most the mod-p nullity)
   leaves only the zero kernel vector: no balanced coloring exists;
 - when no sign assignment survives, no balanced coloring exists.
 
 Fixing the first free coordinate to +1 loses nothing, since c and -c are
-balanced together. A surviving candidate is a +-1 vector with M c = 0 mod
-p; every entry of M c lies in [-(n + 1), n + 1] and n + 1 < p, so M c = 0
-over the integers too. Each candidate is still verified exactly before it
-is returned. Both arguments hold for any prime above n + 1.
+balanced together. The first vector the search meets is a +-1 vector with
+M c = 0 mod p; every entry of M c lies in [-(n + 1), n + 1] and n + 1 < p,
+so M c = 0 over the integers too. It answers after one exact check, and a
+failed check raises RuntimeError. Both arguments hold for any prime above
+n + 1.
 
 Exactness. Up to order 22 the mod-p nullity is the rational one: by
 Hadamard's bound a nonzero minor of a 0/1 matrix of order r <= 22 is at
@@ -44,9 +45,9 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterator, Literal, Sequence
+from typing import Literal, Sequence
 
-from .coloring import Coloring, Mode, _balance_rows, check_mode, verify
+from .coloring import Coloring, Mode, _balance_rows, check_mode, checked_output
 from .graphs import Graph, spread
 
 P = (1 << 31) - 1
@@ -146,79 +147,16 @@ def echelon(rows: Sequence[int], n: int) -> tuple[list[int], list[int], list[lis
     return pivots, free, forms
 
 
-class _DeadlinePassed(Exception):
-    pass
-
-
-def _sign_candidates(
-    pivots: list[int], free: list[int], forms: list[list[int]], deadline: float,
-    counter: list[int],
-) -> Iterator[int]:
-    """Red mask of every +-1 vector in the mod-P kernel, the first free
-    coordinate +1, depth first over the free coordinates, +1 before -1.
-
-    Pivot r's coordinate is -(sum over t of forms[r][t] * c[free[t]]); it is
-    checked as soon as its last free variable is set. counter[0] counts
-    sign choices; the deadline is read every 1024 of them.
-    """
-    k = len(free)
-    # touch[t]: (row, coefficient) pairs of free coordinate t; due[t]: rows
-    # whose last nonzero coefficient is at t
-    touch: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    due: list[list[int]] = [[] for _ in range(k)]
-    for r, w in enumerate(forms):
-        last = -1
-        for t, a in enumerate(w):
-            if a:
-                touch[t].append((r, a))
-                last = t
-        if last < 0:
-            return  # this pivot coordinate is 0 in every kernel vector
-        due[last].append(r)
-    acc = [0] * len(forms)  # sum over set t of forms[r][t] * c[free[t]]
-    signs = [0] * k
-    tried = [0] * k
-    t = 0
-    while t >= 0:
-        if t == k:
-            red = 0
-            for j, s in zip(free, signs):
-                if s > 0:
-                    red |= 1 << j
-            for r, j in enumerate(pivots):
-                if acc[r] == P - 1:  # pivot coordinate -acc[r] = +1
-                    red |= 1 << j
-            yield red
-            t -= 1
-        elif tried[t] < (1 if t == 0 else 2):
-            s = 1 if tried[t] == 0 else -1
-            tried[t] += 1
-            counter[0] += 1
-            if not counter[0] & 1023 and time.monotonic() > deadline:
-                raise _DeadlinePassed
-            for r, c in touch[t]:
-                acc[r] = (acc[r] + (c if s > 0 else P - c)) % P
-            signs[t] = s
-            if all(acc[r] == 1 or acc[r] == P - 1 for r in due[t]):
-                t += 1
-                continue
-        else:
-            tried[t] = 0
-            t -= 1
-        if t >= 0 and tried[t]:  # take back level t's sign before its next try
-            for r, c in touch[t]:
-                acc[r] = (acc[r] - (c if signs[t] > 0 else P - c)) % P
-
-
 @dataclass(frozen=True)
 class LinearVerdict:
     """What the linear stage decided about one graph and mode.
 
-    status: "sat" (``red`` is a verified balanced coloring, its first free
-    coordinate red), "unsat" (certified by the rank when nullity is 0, by
-    the exhausted sign search otherwise), "deferred" (nullity above the
-    cap; nothing was searched) or "timeout" (the deadline passed during
-    the sign search). ``candidates`` counts the sign search's choices.
+    status: "sat" (``red`` is the sign search's first +-1 kernel vector, its
+    first free coordinate red; checked exactly, a failure raising
+    RuntimeError), "unsat" (certified by the rank when nullity is 0, by the
+    exhausted sign search otherwise), "deferred" (nullity above the cap;
+    nothing was searched) or "timeout" (the deadline passed during the sign
+    search). ``candidates`` counts the sign search's choices.
     """
 
     status: Literal["sat", "unsat", "deferred", "timeout"]
@@ -234,9 +172,11 @@ def kernel_verdict(
     """Decide g in the given mode from the reduced mod-P echelon form of its
     balance matrix: unsat at nullity 0, otherwise (when the nullity is at
     most max_nullity, or always when it is None) by the sign search over
-    the kernel, verifying each candidate exactly. ``deadline`` is a
-    time.monotonic() value. ``form`` is that balance matrix's ``echelon``
-    when the caller already has it; otherwise it is computed here."""
+    the kernel, whose first +-1 vector answers sat after one exact check
+    (a failed check raises RuntimeError). ``deadline`` is a time.monotonic()
+    value, read every 1024 sign choices. ``form`` is that balance matrix's
+    ``echelon`` when the caller already has it; otherwise it is computed
+    here."""
     check_mode(mode)
     n = g.n
     if n == 0:  # the empty coloring
@@ -247,11 +187,44 @@ def kernel_verdict(
         return LinearVerdict("unsat", 0)
     if max_nullity is not None and nullity > max_nullity:
         return LinearVerdict("deferred", nullity)
-    counter = [0]
-    try:
-        for red in _sign_candidates(pivots, free, forms, deadline, counter):
-            if verify(g, Coloring(n, red), mode):
-                return LinearVerdict("sat", nullity, counter[0], red)
-    except _DeadlinePassed:
-        return LinearVerdict("timeout", nullity, counter[0])
-    return LinearVerdict("unsat", nullity, counter[0])
+    # touch[t]: (row, coefficient) pairs of free coordinate t; due[t]: rows
+    # whose last nonzero coefficient is at t
+    touch: list[list[tuple[int, int]]] = [[] for _ in free]
+    due: list[list[int]] = [[] for _ in free]
+    for r, w in enumerate(forms):
+        last = -1
+        for t, a in enumerate(w):
+            if a:
+                touch[t].append((r, a))
+                last = t
+        if last < 0:  # this pivot coordinate is 0 in every kernel vector
+            return LinearVerdict("unsat", nullity)
+        due[last].append(r)
+    # A choice: free coordinate t, its sign, and the red mask and partial
+    # sums acc[r] = sum of forms[r][t'] * c[free[t']] over t' < t. Pivot r's
+    # coordinate, -acc[r] once its last free variable is set, is checked
+    # then. Depth first, the first free coordinate +1, +1 before -1.
+    stack = [(0, 1, 0, [0] * len(forms))]
+    choices = 0
+    while stack:
+        t, s, red, acc = stack.pop()
+        choices += 1
+        if not choices & 1023 and time.monotonic() > deadline:
+            return LinearVerdict("timeout", nullity, choices)
+        acc = acc[:]
+        if s > 0:
+            red |= 1 << free[t]
+        for r, a in touch[t]:
+            acc[r] = (acc[r] + s * a) % P
+        if any(acc[r] != 1 and acc[r] != P - 1 for r in due[t]):
+            continue
+        if t + 1 < nullity:  # -1 goes below +1, so +1 is tried first
+            stack.append((t + 1, -1, red, acc))
+            stack.append((t + 1, 1, red, acc))
+            continue
+        for r, j in enumerate(pivots):
+            if acc[r] == P - 1:  # pivot coordinate -acc[r] = +1
+                red |= 1 << j
+        checked_output(g, Coloring(n, red), mode, "kernel vector")
+        return LinearVerdict("sat", nullity, choices, red)
+    return LinearVerdict("unsat", nullity, choices)

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, JSON schemas, stream handling."""
 
+import io
 import json
 import os
 import random
@@ -392,6 +393,23 @@ class TestTree:
         code, out, err = run(capsys, "tree", "replay", "--script", str(sp))
         assert code == 2 and out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"steps": ' + "[" * 100_000],
+                             ids=["array", "steps"])
+    def test_replay_deeply_nested_script_is_usage_error(
+        self, capsys, monkeypatch, tmp_path, text
+    ):
+        # raw text: json.dumps would itself recurse on such a payload
+        sp = tmp_path / "script.json"
+        sp.write_text(text)
+        code, out, err = run(capsys, "tree", "replay", "--script", str(sp))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad script: ") and "Traceback" not in err
+        with open(sp, "rb") as fh:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(fh))
+            code, out, err = run(capsys, "tree", "replay", "--script", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad script: ") and "Traceback" not in err
 
     def test_large_tree_round_trip(self, capsys, tmp_path):
         t = grown_tree(2000, random.Random(8002))

@@ -416,7 +416,10 @@ class TestTrustedBuilders:
         (lambda: bc.gen_petersen(8, 4), "inner step must lie in 1..3"),
         (lambda: bc.hypercube(-1), "dimension must be non-negative"),
         (lambda: bc.circulant(8, (5,)), "connection lengths must lie in 1..4"),
-    ], ids=["cycle", "gp", "hypercube", "circulant"])
+        # a builder's TypeError, wrapped by build_family
+        (lambda: bc.build_family("circulant", 12, 5),
+         "bad parameters for 'circulant': 'int' object is not iterable"),
+    ], ids=["cycle", "gp", "hypercube", "circulant", "build-family-wrapped"])
     def test_domain_errors(self, make, message):
         with pytest.raises(bc.FamilyParameterError) as info:
             make()
