@@ -11,11 +11,12 @@ Residuals stay signed so search code can prune on bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence, TypeVar
 
 from .graphs import Graph, bits
 
 Mode = Literal["cnb", "nb"]
+_R = TypeVar("_R")
 
 
 class SizeMismatchError(ValueError):
@@ -109,9 +110,19 @@ class Coloring:
 
 # Coloring._trusted fills the slots through their descriptors, past the
 # frozen __setattr__; an object.__setattr__ call per field costs more than
-# the checks it skips
+# the checks it skips. _record does the same for the frozen records without
+# slots that the hot paths build: solve's SolveStats and SolveOutcome, and
+# the peel's AdditionStep and TreeBuildScript.
 _set_n = Coloring.n.__set__  # type: ignore[attr-defined]
 _set_bits = Coloring.bits.__set__  # type: ignore[attr-defined]
+
+
+def _record(cls: type[_R], **fields: object) -> _R:
+    """cls(**fields) for a frozen dataclass cls without slots, filled by one
+    update of its dict; fields must name every field, defaulted ones too."""
+    rec = object.__new__(cls)
+    rec.__dict__.update(fields)
+    return rec
 
 
 def _check_pair(g: Graph, c: Coloring) -> None:

@@ -96,13 +96,13 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(row.bit_count() for row in self.adj)
+        return tuple(map(int.bit_count, self.adj))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
@@ -441,13 +441,14 @@ class GraphMetrics:
     components: tuple[tuple[int, ...], ...]
 
 
-def _bfs_layers(adj: Sequence[int], start: int) -> Iterator[int]:
-    """Yield the breadth-first layers from start as disjoint vertex masks:
-    layer k holds the vertices at distance k. Their sum is start's
-    component, and their count less one is start's eccentricity."""
+def _bfs_layers(adj: Sequence[int], start: int) -> list[int]:
+    """The breadth-first layers from start as disjoint vertex masks: layer
+    k holds the vertices at distance k. Their sum is start's component,
+    and their count less one is start's eccentricity."""
+    layers = []
     seen = layer = 1 << start
     while layer:
-        yield layer
+        layers.append(layer)
         nxt = 0
         while layer:
             low = layer & -layer
@@ -455,6 +456,7 @@ def _bfs_layers(adj: Sequence[int], start: int) -> Iterator[int]:
             layer ^= low
         layer = nxt & ~seen
         seen |= layer
+    return layers
 
 
 def metrics(g: Graph) -> GraphMetrics:
@@ -480,7 +482,7 @@ def metrics(g: Graph) -> GraphMetrics:
     elif g.n <= 1:
         diameter = 0
     else:
-        diameter = max(sum(1 for _ in _bfs_layers(g.adj, v)) for v in range(g.n)) - 1
+        diameter = max(len(_bfs_layers(g.adj, v)) for v in range(g.n)) - 1
     is_tree = connected and g.n >= 1 and g.edge_count == g.n - 1
     return GraphMetrics(
         degrees=degs,
@@ -492,15 +494,16 @@ def metrics(g: Graph) -> GraphMetrics:
     )
 
 
-def _tree_layers(g: Graph) -> list[int] | None:
-    """g's BFS layers from vertex 0 when g is a tree (n - 1 edges, and the
-    layers reach every vertex), else None."""
-    layers = list(_bfs_layers(g.adj, 0)) if g.edge_count == g.n - 1 else []
-    return layers if layers and sum(layers) == (1 << g.n) - 1 else None
+def _tree_layers(adj: Sequence[int], edges: int) -> list[int] | None:
+    """The BFS layers from vertex 0 of the graph with rows adj and that
+    many edges when it is a tree (n - 1 edges, and the layers reach every
+    vertex), else None."""
+    layers = _bfs_layers(adj, 0) if edges == len(adj) - 1 else None
+    return layers if layers and sum(layers) == (1 << len(adj)) - 1 else None
 
 
 def is_tree(g: Graph) -> bool:
-    return _tree_layers(g) is not None
+    return _tree_layers(g.adj, g.edge_count) is not None
 
 
 def all_labeled_graphs(n: int) -> Iterator[Graph]:

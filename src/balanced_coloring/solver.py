@@ -63,7 +63,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Literal
 
 from .coloring import (
-    Coloring, Mode, _balance_rows, _certificates, _twin_groups, check_mode, checked_output,
+    Coloring, Mode, _balance_rows, _certificates, _record, _twin_groups, check_mode,
+    checked_output,
 )
 from .graphs import Graph
 from .trees import _tree_forcing
@@ -88,6 +89,9 @@ class Budget:
     max_millis: float = DEFAULT_MAX_MILLIS
 
 
+_DEFAULT_BUDGET = Budget()
+
+
 @dataclass(frozen=True)
 class SolveStats:
     """Search decisions and forced assignments, wall time, and for the
@@ -106,9 +110,10 @@ class SolveStats:
 @dataclass(frozen=True)
 class SolveOutcome:
     """``reason`` names what decided: ``prefilter:<text>``,
-    ``forced-classes``, ``tree`` or ``tree:<text>`` (the forcing pass on a
-    cnb tree, naming the vertex that cannot balance), ``search``, ``rank``,
-    ``kernel``, or ``budget`` for a timeout."""
+    ``forced-classes:<text>`` (the leaf bound, naming the vertex that
+    carries too many leaves), ``tree`` or ``tree:<text>`` (the forcing pass
+    on a cnb tree, naming the vertex that cannot balance), ``search``,
+    ``rank``, ``kernel``, or ``budget`` for a timeout."""
 
     status: Literal["sat", "unsat", "timeout"]
     witness: Coloring | None
@@ -469,14 +474,21 @@ def _stats(search: _Search | None, t0: float, lin: LinearVerdict | None = None
            ) -> SolveStats:
     millis = (time.perf_counter() - t0) * 1000.0
     if search is None:
-        return SolveStats(nodes=0, propagations=0, millis=millis)
-    return SolveStats(
+        return _record(SolveStats, nodes=0, propagations=0, millis=millis, nullity=None,
+                       kernel_candidates=0)
+    return _record(
+        SolveStats,
         nodes=search.decisions,
         propagations=search.assignments - search.decisions,
         millis=millis,
         nullity=lin.nullity if lin else None,
         kernel_candidates=lin.candidates if lin else 0,
     )
+
+
+def _outcome(status: str, witness: Coloring | None, stats: SolveStats,
+             reason: str = "search") -> SolveOutcome:
+    return _record(SolveOutcome, status=status, witness=witness, stats=stats, reason=reason)
 
 
 def solve(g: Graph, mode: Mode = "cnb", budget: Budget | None = None) -> SolveOutcome:
@@ -513,22 +525,22 @@ def solve(g: Graph, mode: Mode = "cnb", budget: Budget | None = None) -> SolveOu
     """
     mode = check_mode(mode)
     if budget is None:
-        budget = Budget()
+        budget = _DEFAULT_BUDGET
     t0 = time.perf_counter()
     # the first generic certificate, if one holds, answers
     for theorem, why in _certificates(g, mode):
-        reason = "forced-classes" if theorem == "leaf-bound" else f"prefilter:{why}"
-        return SolveOutcome("unsat", None, _stats(None, t0), reason)
+        reason = f"forced-classes:{why}" if theorem == "leaf-bound" else f"prefilter:{why}"
+        return _outcome("unsat", None, _stats(None, t0), reason)
     forced = _tree_forcing(g) if mode == "cnb" else None
     if forced is not None:
         red, why = forced
         if red is None:
-            return SolveOutcome("unsat", None, _stats(None, t0), f"tree:{why}")
+            return _outcome("unsat", None, _stats(None, t0), f"tree:{why}")
         witness = checked_output(g, Coloring(g.n, red), mode, "tree witness")
-        return SolveOutcome("sat", witness, _stats(None, t0), "tree")
+        return _outcome("sat", witness, _stats(None, t0), "tree")
     search = _Search(g, mode)
     if g.n and not search._request([(0, 1)]):
-        return SolveOutcome("unsat", None, _stats(search, t0))
+        return _outcome("unsat", None, _stats(search, t0))
     deadline = time.monotonic() + budget.max_millis / 1000.0
     linear = budget.max_nodes > _SEARCH_ALLOWANCE and g.n <= _LINEAR_MAX_ORDER
     pauses = (min(_RANK_PAUSE, _SEARCH_ALLOWANCE), _SEARCH_ALLOWANCE) if linear else ()
@@ -551,21 +563,21 @@ def solve(g: Graph, mode: Mode = "cnb", budget: Budget | None = None) -> SolveOu
                 break
             red = next(runs, None)
     except _LimitExceeded:
-        return SolveOutcome("timeout", None, _stats(search, t0, lin), "budget")
+        return _outcome("timeout", None, _stats(search, t0, lin), "budget")
     if lin is None or lin.status == "deferred":
         if red is None:
-            return SolveOutcome("unsat", None, _stats(search, t0, lin))
+            return _outcome("unsat", None, _stats(search, t0, lin))
         witness = checked_output(g, Coloring(g.n, red), mode, "search witness")
-        return SolveOutcome("sat", witness, _stats(search, t0, lin))
+        return _outcome("sat", witness, _stats(search, t0, lin))
     if lin.status == "timeout":
-        return SolveOutcome("timeout", None, _stats(search, t0, lin), "budget")
+        return _outcome("timeout", None, _stats(search, t0, lin), "budget")
     reason = "rank" if lin.nullity == 0 else "kernel"
     if lin.status == "unsat":
-        return SolveOutcome("unsat", None, _stats(search, t0, lin), reason)
+        return _outcome("unsat", None, _stats(search, t0, lin), reason)
     # the kernel fixes its first free coordinate red, solve fixes vertex 0
     red = lin.red if lin.red & 1 else lin.red ^ ((1 << g.n) - 1)
     witness = checked_output(g, Coloring(g.n, red), mode, "kernel witness")
-    return SolveOutcome("sat", witness, _stats(search, t0, lin), reason)
+    return _outcome("sat", witness, _stats(search, t0, lin), reason)
 
 
 def enumerate_colorings(

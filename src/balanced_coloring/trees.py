@@ -11,6 +11,10 @@ labels and a valid coloring. The forcing pass needs no script: rooted at
 vertex 0, each vertex's closed-neighborhood equation fixes whether it
 shares its parent's color, so one pass up the BFS layers decides the tree
 and one pass down writes its coloring.
+
+The peel, the forcing pass and replay walk vertex masks bitwise (the
+lowest bit is ``m & -m``, its vertex ``bit_length() - 1``), and the peel
+keeps a mask of the remaining leaves, so a step scans no neighbor list.
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ from itertools import product as _iproduct
 from typing import Iterator, Sequence
 
 from .coloring import (
-    Coloring, InvalidColoringError, _certificates, checked_output, require_valid,
+    Coloring, InvalidColoringError, _degree_parity, _record, checked_output, leaf_overload,
+    require_valid,
 )
-from .graphs import MAX_ORDER, Graph, _bfs_layers, _tree_layers, bits
+from .graphs import MAX_ORDER, Graph, _bfs_layers, _tree_layers
 
 
 class NotATreeError(ValueError):
@@ -55,7 +60,7 @@ def four_vertex_addition(g: Graph, c: Coloring, z: int) -> tuple[Graph, Coloring
         raise ValueError(f"anchor {z} outside 0..{g.n - 1}")
     n = g.n
     rows = list(g.adj) + [0, 0, 0, 0]
-    red = _graft(rows, c.bits, AdditionStep(z, n, n + 1, n + 2, n + 3))
+    red = _graft(rows, c.bits, z, n, n + 1, n + 2, n + 3)
     out = Graph._trusted(n + 4, tuple(rows))
     return out, checked_output(out, Coloring(n + 4, red), "cnb", "4-vertex addition")
 
@@ -149,16 +154,18 @@ def _vertex_id(value: object) -> int:
     return value
 
 
-def _graft(rows: list[int], red: int, s: AdditionStep) -> int:
-    """Add step s's edges z-v, z-x, v-w1 and v-w2 to rows, and return the
+def _graft(rows: list[int], red: int, z: int, v: int, x: int, w1: int, w2: int) -> int:
+    """Add a step's edges z-v, z-x, v-w1 and v-w2 to rows, and return the
     red mask with the new vertices colored: v takes z's color, and x, w1
     and w2 take the opposite one."""
-    for a, b in ((s.z, s.v), (s.z, s.x), (s.v, s.w1), (s.v, s.w2)):
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-    if red >> s.z & 1:
-        return red | 1 << s.v
-    return red | 1 << s.x | 1 << s.w1 | 1 << s.w2
+    rows[z] |= 1 << v | 1 << x
+    rows[v] |= 1 << z | 1 << w1 | 1 << w2
+    rows[x] |= 1 << z
+    rows[w1] |= 1 << v
+    rows[w2] |= 1 << v
+    if red >> z & 1:
+        return red | 1 << v
+    return red | 1 << x | 1 << w1 | 1 << w2
 
 
 def replay(script: TreeBuildScript) -> tuple[Graph, Coloring]:
@@ -181,15 +188,17 @@ def replay(script: TreeBuildScript) -> tuple[Graph, Coloring]:
     red = 1 << min(a, b)
     seen = 1 << a | 1 << b
     for idx, s in enumerate(script.steps):
-        if not all(0 <= u < n for u in (s.z, s.v, s.x, s.w1, s.w2)):
+        z, v, x, w1, w2 = s.z, s.v, s.x, s.w1, s.w2
+        # a negative id makes the OR negative
+        if (z | v | x | w1 | w2) < 0 or max(z, v, x, w1, w2) >= n:
             raise MalformedScriptError(f"step {idx}: vertex id outside 0..{n - 1}")
-        fresh = 1 << s.v | 1 << s.x | 1 << s.w1 | 1 << s.w2
+        fresh = 1 << v | 1 << x | 1 << w1 | 1 << w2
         if fresh.bit_count() != 4 or fresh & seen:
             raise MalformedScriptError(f"step {idx}: new vertices must be fresh")
-        if not seen >> s.z & 1:
-            raise MalformedScriptError(f"step {idx}: anchor {s.z} not present yet")
+        if not seen >> z & 1:
+            raise MalformedScriptError(f"step {idx}: anchor {z} not present yet")
         seen |= fresh
-        red = _graft(rows, red, s)
+        red = _graft(rows, red, z, v, x, w1, w2)
     g = Graph._trusted(n, tuple(rows))
     return g, checked_output(g, Coloring(n, red), "cnb", "replayed script")
 
@@ -204,44 +213,60 @@ def decompose_cnbc_tree(t: Graph) -> TreeBuildScript | None:
 
     Rejections: the first of solve's certificates (``_certificates``: for
     a tree, an even-degree vertex or an order not 2 mod 4, then a vertex
-    carrying more than (deg+1)/2 leaves); then any peel step failing. The
-    tree test's BFS layers from vertex 0 serve each step until that start
-    is peeled (peeling keeps distances), then a BFS runs from the lowest
-    live vertex. A step's a, the lowest live vertex of the deepest live
-    layer, ends a longest path, so its neighbor v2 has at most one non-leaf
+    carrying more than (deg+1)/2 leaves), from the degree pass that also
+    counts the tree test's edges; then any peel step failing. The tree
+    test's BFS layers from vertex 0 serve each step until that start is
+    peeled (peeling keeps distances), then a BFS runs from the lowest live
+    vertex. A step's a, the lowest live vertex of the deepest live layer,
+    ends a longest path, so its neighbor v2 has at most one non-leaf
     neighbor v3 (none: a star is left). The step checks that v2 has degree
-    3, removes v2, its two leaves and the lowest leaf of v3, and records
-    the addition; only an edge may be left. Raises NotATreeError when the
-    input is not a tree.
+    3, removes v2, its two leaves and the lowest leaf of v3 (from the mask
+    of live leaves, which only v3 can join), and records the addition;
+    only an edge may be left. Raises NotATreeError on a non-tree.
     """
-    layers = _tree_layers(t)
-    if layers is None:
-        raise NotATreeError(f"input with {t.n} vertices, {t.edge_count} edges")
     adj = list(t.adj)
-    alive = (1 << t.n) - 1
-    if next(_certificates(t, "cnb"), None) is not None:
+    n = t.n
+    degs = [row.bit_count() for row in adj]
+    layers = _tree_layers(adj, sum(degs) >> 1)
+    if layers is None:
+        raise NotATreeError(f"input with {n} vertices, {sum(degs) >> 1} edges")
+    # _certificates' chain in cnb: an odd order, the degree parities, the leaf bound
+    if n % 2 or _degree_parity(n, degs, "cnb") or leaf_overload(t, degs):
         return None
+    leaves = sum(1 << v for v, d in enumerate(degs) if d == 1)
+    alive = (1 << n) - 1
     steps: list[AdditionStep] = []
-    while alive.bit_count() > 2:
+    for _ in range(n >> 2):  # n is 2 mod 4: the steps leave an edge
         if not layers[0] & alive:
-            layers = list(_bfs_layers(adj, next(bits(alive))))
+            layers = _bfs_layers(adj, (alive & -alive).bit_length() - 1)
         while not layers[-1] & alive:
             layers.pop()
-        a = next(bits(layers[-1] & alive))
-        v2 = adj[a].bit_length() - 1  # a is a leaf
-        v3 = next((u for u in bits(adj[v2]) if adj[u].bit_count() > 1), None)
-        if v3 is None or adj[v2].bit_count() != 3:
+        m = layers[-1] & alive
+        v2 = adj[(m & -m).bit_length() - 1].bit_length() - 1  # a, m's lowest bit, is a leaf
+        row = adj[v2]
+        hub = row & ~leaves
+        if not hub or row.bit_count() != 3:
             return None
-        x = next((u for u in bits(adj[v3]) if adj[u].bit_count() == 1), None)
-        if x is None:
+        hub &= -hub
+        v3 = hub.bit_length() - 1
+        xs = adj[v3] & leaves
+        if not xs:
             return None
-        w1, w2 = bits(adj[v2] & ~(1 << v3))
-        steps.append(AdditionStep(z=v3, v=v2, x=x, w1=w1, w2=w2))
+        xs &= -xs
+        pair = row ^ hub
+        w = pair & -pair
+        steps.append(_record(AdditionStep, z=v3, v=v2, x=xs.bit_length() - 1,
+                             w1=w.bit_length() - 1, w2=(pair ^ w).bit_length() - 1))
         # only v2 and x touch a survivor, and that survivor is v3
-        gone = 1 << v2 | 1 << x | 1 << w1 | 1 << w2
-        adj[v3] &= ~gone
+        gone = 1 << v2 | xs | pair
         alive &= ~gone
-    return TreeBuildScript(steps=tuple(reversed(steps)), base=tuple(bits(alive)))
+        leaves &= ~gone
+        row = adj[v3] = adj[v3] & ~gone
+        if not row & (row - 1):
+            leaves |= hub
+    low = alive & -alive
+    return _record(TreeBuildScript, steps=tuple(reversed(steps)),
+                   base=(low.bit_length() - 1, (alive ^ low).bit_length() - 1))
 
 
 def _tree_forcing(t: Graph) -> tuple[int | None, str] | None:
@@ -257,27 +282,32 @@ def _tree_forcing(t: Graph) -> tuple[int | None, str] | None:
     coloring exists exactly when every step passes, and it is unique up to
     swapping the colors; one pass down then writes it.
     """
-    layers = _tree_layers(t)
+    adj = t.adj
+    layers = _tree_layers(adj, t.edge_count)
     if layers is None:
         return None
-    adj = t.adj
     share = 0  # the vertices that take their parent's color
     for layer in reversed(layers):
-        for v in bits(layer):
-            row = adj[v]
-            want = (row.bit_count() + 1) // 2 - 1
+        while layer:
+            low = layer & -layer
+            layer ^= low
+            row = adj[low.bit_length() - 1]
+            want = (row.bit_count() - 1) >> 1  # (d+1)/2 - 1, rounded down
             have = (row & share).bit_count()  # only children are in share
-            if want - have == 1 and v:
-                share |= 1 << v
+            if want - have == 1 and low != 1:
+                share |= low
             elif want != have:
+                v = low.bit_length() - 1
                 parent = ", and its parent at most one" if v else ""
                 return None, (f"vertex {v} needs {want} of its neighbors in its color; "
                               f"its children give {have}{parent}")
     red = 1
     for above, layer in zip(layers, layers[1:]):
-        below_red = 0
-        for p in bits(red & above):
-            below_red |= adj[p]
+        up, below_red = red & above, 0
+        while up:
+            low = up & -up
+            below_red |= adj[low.bit_length() - 1]
+            up ^= low
         red |= layer & ~(below_red ^ share)
     return red, ""
 

@@ -248,7 +248,9 @@ class TestSolveStage:
     def test_reasons(self):
         assert bc.solve(bc.star(4), "cnb").reason == "prefilter:odd vertex count"
         # K_{1,5} passes the prefilter; its center carries too many leaves
-        assert bc.solve(bc.star(5), "cnb").reason == "forced-classes"
+        assert bc.solve(bc.star(5), "cnb").reason == (
+            "forced-classes:vertex 0 carries 5 leaves, more than (deg+1)/2 = 3"
+        )
         out = bc.solve(bc.cycle(8), "nb")
         assert (out.reason, out.stats.nullity) == ("search", None)
         out = bc.solve(bc.circulant(23, tuple(range(1, 10)) + (11,)), "nb")

@@ -2,10 +2,12 @@
 enumeration order, budgets, and the census stream."""
 
 import ast
+import dataclasses
 import functools
 import itertools
 import math
 import pathlib
+import pickle
 import random
 import tracemalloc
 
@@ -638,9 +640,8 @@ def _reference_reason(g, mode):
     why = bc.prefilter_reason(g, mode)
     if why is not None:
         return f"prefilter:{why}"
-    if mode == "cnb" and leaf_overload(g, g.degrees()) is not None:
-        return "forced-classes"
-    return None
+    why = leaf_overload(g, g.degrees()) if mode == "cnb" else None
+    return None if why is None else f"forced-classes:{why}"
 
 
 class TestCertificateChain:
@@ -653,7 +654,7 @@ class TestCertificateChain:
                     got = bc.solve(g, mode).reason
                     if want is None:
                         assert not got.startswith("prefilter:"), (g, mode)
-                        assert got != "forced-classes", (g, mode)
+                        assert not got.startswith("forced-classes:"), (g, mode)
                     else:
                         assert got == want, (g, mode)
                         answered += 1
@@ -684,3 +685,39 @@ def test_only_cli_and_init_import_solver():
             if any(name.split(".")[-1] == "solver" for name in names):
                 importers.add(path.name)
     assert importers == {"cli.py", "__init__.py"}
+
+
+class TestTrustedRecords:
+    """solve builds SolveStats and SolveOutcome past their __init__; each
+    record must still equal, hash, print and pickle like the one the
+    dataclass builds, and stay frozen (census --workers ships them between
+    processes)."""
+
+    CASES = {
+        "certificate": (bc.star(5), "cnb", None, "unsat", "forced-classes:"),
+        "tree-sat": (bc.path(2), "cnb", None, "sat", "tree"),
+        "tree-unsat": (bc.decode("IO?eCoAG?"), "cnb", None, "unsat", "tree:"),
+        "search-sat": (bc.cycle(8), "nb", None, "sat", "search"),
+        "kernel": (bc.circulant(64, (1, 2, 6, 13, 26)), "nb", None, "sat", "kernel"),
+        "timeout": (bc.circulant(24, (1, 3, 5, 7, 9, 12)), "cnb", Budget(max_nodes=50),
+                    "timeout", "budget"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_records_match_dataclass_built_ones(self, case):
+        g, mode, budget, status, reason = self.CASES[case]
+        out = bc.solve(g, mode, budget)
+        assert out.status == status and out.reason.startswith(reason)
+        stats = bc.SolveStats(**{f.name: getattr(out.stats, f.name)
+                                 for f in dataclasses.fields(bc.SolveStats)})
+        ref = bc.SolveOutcome(out.status, out.witness, stats, out.reason)
+        assert out == ref and out.stats == stats
+        assert vars(out) == vars(ref) and vars(out.stats) == vars(stats)
+        assert hash(out) == hash(ref) and repr(out) == repr(ref)
+        assert out.as_dict() == ref.as_dict()
+        back = pickle.loads(pickle.dumps(out))
+        assert back == ref and back.as_dict() == ref.as_dict()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            out.reason = "search"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            out.stats.nodes = 1

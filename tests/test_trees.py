@@ -1,7 +1,9 @@
 """Vertex additions, balanced-tree recognition, scripts, tree generation."""
 
+import dataclasses
 import json
 import math
+import pickle
 import random
 
 import networkx as nx
@@ -332,6 +334,88 @@ class TestAgainstReferencePeel:
         script = bc.decompose_cnbc_tree(low_x_star_tree(20))
         assert calls == list(range(20))
         assert [s.x for s in script.steps] == list(range(19, -1, -1))
+
+
+def grown_from_edges(steps, rng):
+    """The shape of the benchmark's grown trees, built here from edges and
+    not through replay: one edge and `steps` 4-vertex additions at random
+    anchors (anchor z gains v and x, v gains w1 and w2), then relabeled."""
+    edges = [(0, 1)]
+    for i in range(steps):
+        z, v = rng.randrange(2 + 4 * i), 2 + 4 * i
+        edges += [(z, v), (z, v + 1), (v, v + 2), (v, v + 3)]
+    label = list(range(2 + 4 * steps))
+    rng.shuffle(label)
+    return Graph.from_edges(len(label), [(label[a], label[b]) for a, b in edges])
+
+
+class TestBitwisePeel:
+    """The peel reads its vertices off masks; every script, rejection and
+    error must still be the reference peel's, and solve's forcing pass must
+    still name the same vertex on an unbalanced tree."""
+
+    same = TestAgainstReferencePeel.same
+
+    def test_every_labeled_tree_of_order_8(self):
+        outs = [self.same(t) for t in bc.labeled_trees(8)]
+        assert len(outs) == 8 ** 6 and outs.count(None) == len(outs)
+
+    def test_seeded_prufer_trees(self):
+        rng = random.Random(2610)
+        outs = [self.same(bc.random_labeled_tree(rng.randint(10, 30), rng))
+                for _ in range(3000)]
+        assert bc.NotATreeError not in outs
+
+    def test_seeded_grown_trees_to_order_50(self):
+        rng = random.Random(2611)
+        for steps in range(13):
+            for _ in range(40):
+                t = grown_from_edges(steps, rng)
+                out = self.same(t)
+                assert isinstance(out, dict) and len(out["steps"]) == steps
+                assert bc.replay(TreeBuildScript.from_dict(out))[0] == t
+
+    def test_named_inputs(self):
+        assert len(self.same(low_x_star_tree(20))["steps"]) == 20
+        assert self.same(bc.cycle(6)) is bc.NotATreeError
+        assert self.same(bc.disjoint_union(bc.path(2), bc.path(4))) is bc.NotATreeError
+
+    def test_steps_match_dataclass_built_ones(self):
+        script = bc.decompose_cnbc_tree(grown_from_edges(12, random.Random(2612)))
+        steps = tuple(AdditionStep(s.z, s.v, s.x, s.w1, s.w2) for s in script.steps)
+        ref = TreeBuildScript(steps=steps, base=script.base)
+        assert script == ref and hash(script) == hash(ref) and repr(script) == repr(ref)
+        assert [hash(s) for s in script.steps] == [hash(s) for s in steps]
+        assert [vars(s) for s in script.steps] == [vars(s) for s in steps]
+        assert vars(script) == vars(ref)
+        back = pickle.loads(pickle.dumps(script))
+        assert back == ref and back.as_dict() == ref.as_dict() == script.as_dict()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            script.steps[0].z = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            script.base = (0, 1)
+
+    @pytest.mark.parametrize("g6, reason", [
+        ("IO?eCoAG?", "vertex 0 needs 1 of its neighbors in its color; its children give 3"),
+        ("I?CKJGG?_", "vertex 5 needs 1 of its neighbors in its color; "
+                      "its children give 2, and its parent at most one"),
+        ("M@?AE?OJ?_CGO??@?", "vertex 2 needs 1 of its neighbors in its color; "
+                              "its children give 2, and its parent at most one"),
+        ("QGGQ@?C?G???@?gGG@_@??G?_??", "vertex 2 needs 2 of its neighbors in its color; "
+                                        "its children give 0, and its parent at most one"),
+    ])
+    def test_unbalanced_tree_reasons(self, g6, reason):
+        t = bc.decode(g6)
+        out = bc.solve(t, "cnb")
+        assert (out.status, out.reason, out.stats.nodes) == ("unsat", f"tree:{reason}", 0)
+        assert self.same(t) is None
+
+    def test_root_one_short_is_a_failed_check(self):
+        # order 8 fails solve's prefilter, so this reaches the forcing pass
+        # only directly: the root has no parent to make up the one missing
+        assert trees._tree_forcing(bc.decode("GiaCC?")) == (
+            None, "vertex 0 needs 2 of its neighbors in its color; its children give 1"
+        )
 
 
 def search_alone(g):
