@@ -17,7 +17,7 @@ import sys
 from typing import Iterator, Sequence
 
 from . import graph6 as g6
-from .coloring import Coloring, first_unbalanced, report
+from .coloring import Coloring, report
 from .constructions import _family_verdict
 from .graphs import Graph, build_family
 from .solver import (
@@ -131,8 +131,8 @@ def _cmd_verify(args) -> int:
         raise InputError(f"bad coloring string: {exc}") from exc
     if col.n != g.n:
         raise InputError(f"coloring has {col.n} vertices, graph has {g.n}")
-    bad = first_unbalanced(g, col, args.mode)
     rep = report(g, col)
+    bad = rep.first_violation(args.mode)
     out = {
         "valid": bad is None,
         "mode": args.mode,

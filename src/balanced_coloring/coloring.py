@@ -11,12 +11,18 @@ Residuals stay signed so search code can prune on bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import add, sub
 from typing import Iterable, Iterator, Literal, Sequence, TypeVar
 
 from .graphs import Graph, bits
 
 Mode = Literal["cnb", "nb"]
 _R = TypeVar("_R")
+# the digits of bin() as the byte values 0 and 1
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+# a vertex's own term in its closed residual, by color (0 = blue, 1 = red)
+_SIGN = (-1, 1)
 
 
 class SizeMismatchError(ValueError):
@@ -111,8 +117,8 @@ class Coloring:
 # Coloring._trusted fills the slots through their descriptors, past the
 # frozen __setattr__; an object.__setattr__ call per field costs more than
 # the checks it skips. _record does the same for the frozen records without
-# slots that the hot paths build: solve's SolveStats and SolveOutcome, and
-# the peel's AdditionStep and TreeBuildScript.
+# slots that the hot paths build: solve's SolveStats and SolveOutcome, the
+# peel's AdditionStep and TreeBuildScript, and report's BalanceReport.
 _set_n = Coloring.n.__set__  # type: ignore[attr-defined]
 _set_bits = Coloring.bits.__set__  # type: ignore[attr-defined]
 
@@ -173,7 +179,11 @@ def verify(g: Graph, c: Coloring, mode: Mode) -> bool:
 
 def require_valid(g: Graph, c: Coloring, mode: Mode, what: str) -> None:
     """Reject a caller-supplied coloring that does not verify under mode."""
-    v = first_unbalanced(g, c, mode)
+    _require_balanced(first_unbalanced(g, c, mode), mode, what)
+
+
+def _require_balanced(v: int | None, mode: Mode, what: str) -> None:
+    """require_valid given the lowest unbalanced vertex v, or None."""
     if v is not None:
         raise InvalidColoringError(
             f"{what} must be {mode}-valid; neighborhood of vertex {v} is unbalanced"
@@ -212,6 +222,12 @@ class BalanceReport:
     closed_residuals: tuple[int, ...]
     open_residuals: tuple[int, ...]
 
+    def first_violation(self, mode: Mode) -> int | None:
+        """Lowest vertex whose neighborhood is unbalanced under mode (its
+        residual is not zero), or None."""
+        res = self.closed_residuals if mode == "cnb" else self.open_residuals
+        return next((v for v, x in enumerate(res) if x), None) if any(res) else None
+
     def as_dict(self) -> dict:
         return {
             "red_count": self.red_count,
@@ -227,26 +243,40 @@ class BalanceReport:
 
 
 def report(g: Graph, c: Coloring) -> BalanceReport:
+    """The statistics of c on g, reading each row once (``_tally``)."""
+    return _tally(g, c)[0]
+
+
+def _tally(g: Graph, c: Coloring) -> tuple[BalanceReport, list[int], bytes]:
+    """The report, the degree sequence and the colors (1 = red, one byte per
+    vertex) from two bit_counts per row: v's degree d and red neighbor count
+    r. v's open residual is 2r - d; its closed one adds 1 for red and -1 for
+    blue. Over the red vertices, the r sum to 2rr and the d to the red degree
+    sum; red-blue edges are the red degree sum less 2rr, and the blue
+    degree sum counts each of them once and each blue-blue edge twice."""
     _check_pair(g, c)
     red = c.bits
-    full = (1 << g.n) - 1
-    blue = full ^ red
-    rr = sum((g.adj[v] & red).bit_count() for v in bits(red)) // 2
-    bb = sum((g.adj[v] & blue).bit_count() for v in bits(blue)) // 2
-    rb = g.edge_count - rr - bb
-    red_deg = sum(g.adj[v].bit_count() for v in bits(red))
-    blue_deg = sum(g.adj[v].bit_count() for v in bits(blue))
-    return BalanceReport(
+    degs = list(map(int.bit_count, g.adj))
+    reds = [(row & red).bit_count() for row in g.adj]
+    colors = bin(red | 1 << g.n)[:2:-1].encode().translate(_BIT_VALUES)  # bit 0 first
+    open_residuals = tuple(map(sub, map(add, reds, reds), degs))
+    red_deg = sum(compress(degs, colors))
+    rr2 = sum(compress(reds, colors))
+    blue_deg = sum(degs) - red_deg
+    rb = red_deg - rr2
+    rep = _record(
+        BalanceReport,
         red_count=c.red_count,
         blue_count=c.blue_count,
-        rr=rr,
-        bb=bb,
+        rr=rr2 // 2,
+        bb=(blue_deg - rb) // 2,
         rb=rb,
         red_degree_sum=red_deg,
         blue_degree_sum=blue_deg,
-        closed_residuals=residuals(g, c, "cnb"),
-        open_residuals=residuals(g, c, "nb"),
+        closed_residuals=tuple(map(add, open_residuals, map(_SIGN.__getitem__, colors))),
+        open_residuals=open_residuals,
     )
+    return rep, degs, colors
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +298,11 @@ def check_identities(
     must be True for a correct implementation, so ``strict=True`` (used by
     the test harness) raises IdentityViolationError on any False.
     """
-    require_valid(g, c, mode, "coloring")
-    rep = report(g, c)
+    rep, degs, colors = _tally(g, c)
+    check_mode(mode)
+    _require_balanced(rep.first_violation(mode), mode, "coloring")
     n = g.n
-    degs = g.degrees()
-    m = sum(degs) // 2
+    m = (rep.red_degree_sum + rep.blue_degree_sum) // 2
     # the common degree when g is regular (0 when it has no vertices)
     r = max(degs, default=0) if len(set(degs)) <= 1 else None
     results: list[IdentityResult] = []
@@ -295,11 +325,10 @@ def check_identities(
                 n % 4 == 0 if m % 2 == 0 else n % 4 == 2,
             )
         )
-        red_deg3 = sum(1 for v in bits(c.bits) if degs[v] % 4 == 3)
-        blue_deg3 = sum(
-            1 for v in range(n) if not (c.bits >> v) & 1 and degs[v] % 4 == 3
-        )
-        deg1 = sum(1 for d in degs if d % 4 == 1)
+        residues = [d % 4 for d in degs]
+        red_deg3 = list(compress(residues, colors)).count(3)
+        blue_deg3 = residues.count(3) - red_deg3
+        deg1 = residues.count(1)
         results.append(
             (
                 "mod4-degree-counts",

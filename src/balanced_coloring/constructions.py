@@ -554,9 +554,14 @@ def _family_rule(kind: str, params: tuple, mode: Mode) -> CharacterizationVerdic
             f"degree identity fails for rim length {n} (only 3 works)", "wheel-degree-identity"
         )
     if kind == "hypercube":  # the other mode: degree dim has the wrong parity
-        # color_hypercube's closed form of the product tower
+        # color_hypercube's closed form of the product tower: v is red iff
+        # the popcount of v >> h has parity red, so blocks of 2^h vertices
+        # follow the Thue-Morse sequence, and each doubling appends the
+        # complement of the prefix built so far
         h, red = n // 2, (n // 2 + n + 1) % 2
-        bits = sum(1 << v for v in range(1 << n) if (v >> h).bit_count() % 2 == red)
+        bits = 0 if red else (1 << (1 << h)) - 1
+        for k in range(h, n):
+            bits |= (bits ^ ((1 << (1 << k)) - 1)) << (1 << k)
         return _yes(
             f"dimension {n} parity matches the product iteration", "hypercube-parity",
             Coloring(1 << n, bits),

@@ -7,13 +7,18 @@ for j = 1..n-1 and i = 0..j-1, packed six bits per byte with 63 added to
 every byte so the result stays printable ASCII.
 
 That packing is base64 with its 64 digits spelled as the bytes 63..126, so
-the C ``binascii`` codec packs and unpacks the body; the Python code around
-it steps once per column and once per edge, never once per bit.
+the C ``binascii`` codec packs and unpacks the body. The encoder builds the
+body as one int from whole rows, joined by halving merges (O(n) Python steps
+and O(n^2 log n) bit work), and reverses the bits of each byte with one
+``bytes.translate``; it builds no string of one character per bit. The
+decoder reads the columns from one ``bin()`` string and steps once per
+column and once per edge. Neither steps once per bit.
 """
 
 from __future__ import annotations
 
 import binascii
+from operator import add, lshift, or_
 from typing import Iterable, Iterator
 
 from .graphs import MAX_ORDER as _MAX_ORDER, Graph
@@ -27,6 +32,11 @@ _GRAPH6_DIGITS = bytes(range(_OFFSET, 127))
 _BASE64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _TO_GRAPH6 = bytes.maketrans(_BASE64_DIGITS, _GRAPH6_DIGITS)
 _FROM_GRAPH6 = bytes.maketrans(_GRAPH6_DIGITS, _BASE64_DIGITS)
+# byte b with its eight bits in reverse order
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+# encode shifts columns into one int until it holds this many bits, then
+# starts another; small graphs take one run and no merge pass
+_RUN_BITS = 4096
 
 
 class Graph6Error(ValueError):
@@ -52,16 +62,35 @@ def encode(g: Graph) -> str:
             ((n >> 6) & 63) + _OFFSET,
             (n & 63) + _OFFSET,
         ))
+    # the body read little-endian is one int whose bit j(j-1)/2 + i is x(i, j):
+    # column j is row j's low j bits. Columns are shifted into a run one by
+    # one until it holds _RUN_BITS bits; the runs are then joined pairwise,
+    # halving their number per pass, so each body bit is copied O(log n) times
     adj = g.adj
-    # column j is bits x(0, j) .. x(j-1, j): the low j bits of row j written
-    # backwards, read from bin() under a sentinel bit j that [:2:-1] drops
-    bits = "".join(
-        [bin((adj[j] & ((1 << j) - 1)) | (1 << j))[:2:-1] for j in range(1, n)]
-    )
-    nbits = len(bits)
-    width = -(-nbits // 24) * 24  # whole base64 quanta of 3 bytes
-    packed = (int(bits or "0", 2) << (width - nbits)).to_bytes(width // 8, "big")
+    runs, lengths = [], []
+    run = end = 0
+    for j in range(1, n):
+        run |= (adj[j] & ((1 << j) - 1)) << end
+        end += j
+        if end >= _RUN_BITS:
+            runs.append(run)
+            lengths.append(end)
+            run = end = 0
+    runs.append(run)
+    lengths.append(end)
+    while len(runs) > 1:
+        if len(runs) % 2:
+            runs.append(0)
+            lengths.append(0)
+        low_lengths = lengths[::2]
+        runs = list(map(or_, runs[::2], map(lshift, runs[1::2], low_lengths)))
+        lengths = list(map(add, low_lengths, lengths[1::2]))
+    nbits = n * (n - 1) // 2
+    # graph6 packs each byte from its high bit down: the little-endian bytes
+    # of the int with their bits reversed, padded to whole base64 quanta
+    packed = runs.pop().to_bytes(-(-nbits // 24) * 3, "little").translate(_REVERSED_BYTE)
     body = binascii.b2a_base64(packed, newline=False).translate(_TO_GRAPH6)
+    del packed
     return (header + body[: -(-nbits // 6)]).decode("ascii")
 
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Literal, Sequence
 
-from .coloring import Coloring, Mode, _balance_rows, check_mode, checked_output
+from .coloring import _BIT_VALUES, Coloring, Mode, _balance_rows, check_mode, checked_output
 from .graphs import Graph, spread
 
 P = (1 << 31) - 1
@@ -68,7 +68,6 @@ _W = 64
 _SLOT = (1 << _W) - 1
 _KW = 96  # slot width of the back-substitution's kernel vectors: n < 2^32
 _KW_SLOT = (1 << _KW) - 1
-_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _packed(row: int, n: int) -> int:

@@ -7,6 +7,7 @@ oracle can only agree by both being right.
 
 from __future__ import annotations
 
+import binascii
 import functools
 import random
 import time
@@ -17,7 +18,19 @@ from typing import Iterator, Sequence
 import pytest
 
 from balanced_coloring import CirculantSpec, Graph
-from balanced_coloring.coloring import Mode, _balance_rows, _certificates, _twin_groups
+from balanced_coloring.coloring import (
+    BalanceReport,
+    Coloring,
+    IdentityViolationError,
+    InvalidColoringError,
+    Mode,
+    SizeMismatchError,
+    _balance_rows,
+    _certificates,
+    _twin_groups,
+    first_unbalanced,
+    residuals,
+)
 from balanced_coloring.graph6 import Graph6Error
 from balanced_coloring.graphs import _bfs_layers, bits, is_tree
 from balanced_coloring.solver import _LimitExceeded
@@ -216,6 +229,41 @@ def ref_graph6_encode(g: Graph) -> str:
     return "".join(out)
 
 
+# The string-joining encoder the library used before it built the body as
+# one int; ``encode`` must give byte-identical strings.
+_G6_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(_G6_OFFSET, 127)),
+)
+
+
+def ref_encode(g: Graph) -> str:
+    """Encode a graph as its canonical graph6 string."""
+    n = g.n
+    if n >= _G6_MAX_ORDER:
+        raise ValueError(f"graph6 support here stops below {_G6_MAX_ORDER} vertices")
+    if n <= 62:
+        header = bytes((n + _G6_OFFSET,))
+    else:
+        header = bytes((
+            126,
+            ((n >> 12) & 63) + _G6_OFFSET,
+            ((n >> 6) & 63) + _G6_OFFSET,
+            (n & 63) + _G6_OFFSET,
+        ))
+    adj = g.adj
+    # column j is bits x(0, j) .. x(j-1, j): the low j bits of row j written
+    # backwards, read from bin() under a sentinel bit j that [:2:-1] drops
+    bits = "".join(
+        [bin((adj[j] & ((1 << j) - 1)) | (1 << j))[:2:-1] for j in range(1, n)]
+    )
+    nbits = len(bits)
+    width = -(-nbits // 24) * 24  # whole base64 quanta of 3 bytes
+    packed = (int(bits or "0", 2) << (width - nbits)).to_bytes(width // 8, "big")
+    body = binascii.b2a_base64(packed, newline=False).translate(_G6_TO_GRAPH6)
+    return (header + body[: -(-nbits // 6)]).decode("ascii")
+
+
 def ref_graph6_decode(text: str | bytes) -> Graph:
     data = text.encode("ascii") if isinstance(text, str) else bytes(text)
     for off, byte in enumerate(data):
@@ -278,6 +326,108 @@ def ref_graph6_decode(text: str | bytes) -> Graph:
     if pad and (data[-1] - _G6_OFFSET) & ((1 << pad) - 1):
         raise Graph6Error("nonzero-padding", len(data) - 1, "padding bits must be zero")
     return Graph(n, tuple(rows))
+
+
+# The multi-pass balance report and identity audit the library used before
+# it read each row once; ``report`` and ``check_identities`` must give equal
+# results and raise the same errors, with the same messages, in the same
+# order.
+def ref_report(g: Graph, c: Coloring) -> BalanceReport:
+    if g.n != c.n:
+        raise SizeMismatchError(f"graph has {g.n} vertices, coloring has {c.n}")
+    red = c.bits
+    full = (1 << g.n) - 1
+    blue = full ^ red
+    rr = sum((g.adj[v] & red).bit_count() for v in bits(red)) // 2
+    bb = sum((g.adj[v] & blue).bit_count() for v in bits(blue)) // 2
+    rb = g.edge_count - rr - bb
+    red_deg = sum(g.adj[v].bit_count() for v in bits(red))
+    blue_deg = sum(g.adj[v].bit_count() for v in bits(blue))
+    return BalanceReport(
+        red_count=c.red_count,
+        blue_count=c.blue_count,
+        rr=rr,
+        bb=bb,
+        rb=rb,
+        red_degree_sum=red_deg,
+        blue_degree_sum=blue_deg,
+        closed_residuals=residuals(g, c, "cnb"),
+        open_residuals=residuals(g, c, "nb"),
+    )
+
+
+def ref_check_identities(
+    g: Graph, c: Coloring, mode: Mode, strict: bool = False
+) -> list[tuple[str, bool | None]]:
+    v = first_unbalanced(g, c, mode)
+    if v is not None:
+        raise InvalidColoringError(
+            f"coloring must be {mode}-valid; neighborhood of vertex {v} is unbalanced"
+        )
+    rep = ref_report(g, c)
+    n = g.n
+    degs = g.degrees()
+    m = sum(degs) // 2
+    r = max(degs, default=0) if len(set(degs)) <= 1 else None
+    results: list[tuple[str, bool | None]] = []
+    if mode == "cnb":
+        results.append((
+            "degree-identity",
+            rep.red_count + rep.red_degree_sum == rep.blue_count + rep.blue_degree_sum,
+        ))
+        if rep.red_count == rep.blue_count:
+            results.append(("rr-eq-bb-when-balanced", rep.rr == rep.bb))
+        else:
+            results.append(("rr-eq-bb-when-balanced", None))
+        results.append(("vertex-count-parity", n % 4 == 0 if m % 2 == 0 else n % 4 == 2))
+        red_deg3 = sum(1 for v in bits(c.bits) if degs[v] % 4 == 3)
+        blue_deg3 = sum(1 for v in range(n) if not (c.bits >> v) & 1 and degs[v] % 4 == 3)
+        deg1 = sum(1 for d in degs if d % 4 == 1)
+        results.append((
+            "mod4-degree-counts",
+            red_deg3 % 2 == 0 and blue_deg3 % 2 == 0 and deg1 % 2 == 0,
+        ))
+        if r is not None:
+            ok = (
+                2 * rep.red_count == n
+                and 2 * rep.blue_count == n
+                and 4 * rep.rb == (r + 1) * n
+                and 8 * rep.rr == (r - 1) * n
+                and 8 * rep.bb == (r - 1) * n
+            )
+            results.append(("regular-edge-counts", ok))
+            results.append(("regular-order-residue", n % 4 == 0 or r % 4 == 1))
+        else:
+            results.append(("regular-edge-counts", None))
+            results.append(("regular-order-residue", None))
+    else:
+        results.append(("degree-sums-equal", rep.red_degree_sum == rep.blue_degree_sum))
+        results.append(("rr-eq-bb", rep.rr == rep.bb))
+        if r is not None and r > 0:
+            ok = (
+                2 * rep.red_count == n
+                and 4 * rep.rb == r * n
+                and 8 * rep.rr == r * n
+                and 8 * rep.bb == r * n
+            )
+            results.append(("regular-edge-counts", ok))
+        else:
+            results.append(("regular-edge-counts", None))
+    if strict:
+        for name, holds in results:
+            if holds is False:
+                raise IdentityViolationError(
+                    f"identity {name} failed on a verified {mode} coloring"
+                )
+    return results
+
+
+def outcome(f, *args) -> tuple:
+    """f(*args) as ("ok", result) or ("raised", exception type, message)."""
+    try:
+        return ("ok", f(*args))
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return ("raised", type(exc), str(exc))
 
 
 # Linear-stage references: a plain Gauss-Jordan over lists of Python ints

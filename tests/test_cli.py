@@ -14,7 +14,7 @@ from balanced_coloring import graph6 as g6
 from balanced_coloring import solver
 from balanced_coloring.cli import main
 
-from conftest import H6_EDGES, grown_tree
+from conftest import H6_EDGES, grown_tree, ref_report
 
 
 def run(capsys, *argv):
@@ -50,6 +50,27 @@ class TestVerify:
         data = jline(out)
         assert data["valid"] is False
         assert isinstance(data["first_violation"], int)
+
+    def test_every_coloring_of_h6_against_reference(self, capsys, tmp_path):
+        # first_violation and the statistics are the multi-pass reference's,
+        # in both modes and both formats, with the same exit code
+        g = bc.Graph.from_edges(6, H6_EDGES)
+        p = tmp_path / "h6.txt"
+        p.write_text(g6.format_edge_list(g))
+        for mask in range(1 << 6):
+            c = bc.Coloring(6, mask)
+            for mode in ("cnb", "nb"):
+                bad = bc.first_unbalanced(g, c, mode)
+                want = {"valid": bad is None, "mode": mode, "first_violation": bad,
+                        **ref_report(g, c).as_dict()}
+                tsv = "".join(
+                    f"{k}\t{','.join(map(str, v)) if isinstance(v, list) else v}\n"
+                    for k, v in want.items()
+                )
+                for fmt, text in (("json", json.dumps(want) + "\n"), ("tsv", tsv)):
+                    code, out, _ = run(capsys, "verify", "--edges", str(p), "--coloring", c.to_text(),
+                                       "--mode", mode, "--format", fmt)
+                    assert (code, out) == (0 if bad is None else 1, text)
 
     def test_size_mismatch_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "complete", "2", "--coloring", "RBB")

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 import balanced_coloring as bc
 from balanced_coloring import Coloring, Graph
 
-from conftest import brute_force_masks, random_graph, ref_balanced
+from conftest import (
+    brute_force_masks,
+    outcome,
+    random_graph,
+    ref_balanced,
+    ref_check_identities,
+    ref_report,
+)
 
 
 @st.composite
@@ -188,6 +195,80 @@ class TestIdentities:
                     bc.check_identities(g, Coloring(g.n, mask), mode, strict=True)
                     checked += 1
         assert checked > 100
+
+
+class TestOnePassAgainstReference:
+    """``report`` and ``check_identities`` read each row once; the multi-pass
+    ``ref_report`` and ``ref_check_identities`` in conftest must give equal
+    results, and the same exception type and message when one is raised."""
+
+    def check(self, g: Graph, c: Coloring) -> None:
+        assert outcome(bc.report, g, c) == outcome(ref_report, g, c)
+        for mode in ("cnb", "nb"):
+            for strict in (False, True):
+                assert outcome(bc.check_identities, g, c, mode, strict) == outcome(
+                    ref_check_identities, g, c, mode, strict
+                )
+            assert bc.report(g, c).first_violation(mode) == bc.first_unbalanced(g, c, mode)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_coloring_of_every_graph(self, n):
+        valid = 0
+        for g in bc.all_labeled_graphs(n):
+            for mask in range(1 << n):
+                self.check(g, Coloring(n, mask))
+            valid += len(brute_force_masks(g, "cnb")) + len(brute_force_masks(g, "nb"))
+        assert n < 2 or valid > 0
+
+    def test_seeded_graphs_to_order_64(self):
+        rng = random.Random(6464)
+        for n in range(65):
+            for p in (0.1, 0.5, 0.9):
+                g = random_graph(rng, n, p)
+                self.check(g, Coloring(n, rng.getrandbits(n)))
+
+    def test_family_witnesses_to_order_64(self):
+        # valid colorings of regular and irregular members, so the identity
+        # checks run past the validity test
+        members = [
+            ("hypercube", (d,)) for d in range(7)
+        ] + [("cycle", (n,)) for n in range(3, 65)] + [
+            ("gp", (n, k)) for n in range(3, 33) for k in range(1, (n + 1) // 2)
+        ] + [("circulant", (n, (1, n // 2))) for n in range(4, 65, 2)] + [
+            ("complete-bipartite", (m, n)) for m in range(5) for n in range(5)
+        ] + [("wheel", (3,)), ("empty", (6,)), ("complete", (8,))]
+        witnessed = 0
+        for kind, params in members:
+            g = bc.build_family(kind, *params)
+            for mode in ("cnb", "nb"):
+                try:
+                    witness = bc.characterize_family(kind, params, mode).witness
+                except bc.FamilyParameterError:
+                    continue
+                if witness is not None:
+                    self.check(g, witness)
+                    witnessed += 1
+        assert witnessed > 100
+
+    def test_h6_and_irregular_colorings(self, h6):
+        for mask in range(1 << h6.n):
+            self.check(h6, Coloring(h6.n, mask))
+
+    def test_which_check_fires_first(self):
+        g = bc.cycle(4)
+        bad = Coloring.from_text("RRRR")
+        cases = [
+            (g, Coloring(5, 0), "cnb"),  # size before mode
+            (g, Coloring(5, 0), "xyz"),
+            (g, bad, "xyz"),  # mode before balance
+            (g, bad, "nb"),
+            (g, Coloring.from_text("RRBB"), "cnb"),  # cnb fails at vertex 0
+        ]
+        for graph, c, mode in cases:
+            got = outcome(bc.check_identities, graph, c, mode, True)
+            assert got == outcome(ref_check_identities, graph, c, mode, True)
+            assert got[0] == "raised"
+        assert outcome(bc.report, g, Coloring(5, 0)) == outcome(ref_report, g, Coloring(5, 0))
 
 
 class TestLeafForce:

@@ -564,6 +564,16 @@ class TestHypercubes:
             mode = "cnb" if k % 2 == 1 else "nb"
             assert bc.verify(g, col, mode)
 
+    def test_parity_witness_bits(self):
+        # vertex v is red iff the popcount of v >> dim//2 has the theorem's
+        # parity, the rule the witness was once summed from vertex by vertex
+        for dim in range(17):
+            half, red = dim // 2, (dim // 2 + dim + 1) % 2
+            want = sum(1 << v for v in range(1 << dim) if (v >> half).bit_count() % 2 == red)
+            mode = "cnb" if dim % 2 else "nb"
+            witness = constructions._family_rule("hypercube", (dim,), mode).witness
+            assert (witness.n, witness.bits) == (1 << dim, want), dim
+
     @pytest.mark.parametrize("dim, text", enumerate([
         "B", "RB", "RRBB", "BBRRRRBB", "BBBBRRRRRRRRBBBB",
         "RRRRBBBBBBBBRRRRBBBBRRRRRRRRBBBB",

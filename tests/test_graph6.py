@@ -9,7 +9,7 @@ import pytest
 import balanced_coloring as bc
 from balanced_coloring import graph6 as g6
 
-from conftest import random_graph, ref_graph6_decode, ref_graph6_encode
+from conftest import random_graph, ref_encode, ref_graph6_decode, ref_graph6_encode
 
 
 def nx_encode(g: bc.Graph) -> str:
@@ -135,11 +135,13 @@ def decode_outcome(decode, payload):
 
 
 class TestAgainstReference:
-    """The binascii codec against the per-bit reference in conftest."""
+    """The binascii codec against the per-bit reference in conftest, and
+    the encoder against ``ref_encode``, which joined one bit string per
+    column."""
 
     def check(self, g: bc.Graph) -> str:
         enc = g6.encode(g)
-        assert enc == ref_graph6_encode(g)
+        assert enc == ref_graph6_encode(g) == ref_encode(g)
         assert g6.decode(enc) == g == ref_graph6_decode(enc)
         return enc
 
@@ -174,6 +176,35 @@ class TestAgainstReference:
             assert decode_outcome(g6.decode, payload) == decode_outcome(
                 ref_graph6_decode, payload
             )
+
+
+class TestEncodeAgainstStringJoin:
+    """The one-int encoder against ``ref_encode`` past the orders the
+    per-bit reference covers (every graph to order 6 is checked against
+    both in TestAgainstReference)."""
+
+    def check(self, g: bc.Graph) -> None:
+        enc = g6.encode(g)
+        # compared outside the assert: pytest's diff of two strings of a
+        # million characters would take minutes
+        same = enc == ref_encode(g)
+        assert same, f"encode differs from ref_encode at order {g.n}"
+        assert g6.decode(enc) == g
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_seeded_orders_at_the_boundaries(self, p):
+        # orders 62-64 cross the one-byte header; from 127 on the body
+        # takes more than one run of columns
+        rng = random.Random(4099)
+        for n in [0, 1, 2, 62, 63, 64, 127, 128, 129, 130]:
+            for _ in range(3):
+                self.check(random_graph(rng, n, p))
+
+    @pytest.mark.parametrize("g", [
+        bc.hypercube(10), bc.cycle(4096), bc.gen_petersen(1000, 7),
+    ], ids=["Q10", "C4096", "GP(1000,7)"])
+    def test_large_members(self, g):
+        self.check(g)
 
 
 def test_iter_graph6_skips_header_and_blanks():
