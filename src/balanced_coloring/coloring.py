@@ -118,7 +118,8 @@ class Coloring:
 # frozen __setattr__; an object.__setattr__ call per field costs more than
 # the checks it skips. _record does the same for the frozen records without
 # slots that the hot paths build: solve's SolveStats and SolveOutcome, the
-# peel's AdditionStep and TreeBuildScript, and report's BalanceReport.
+# peel's AdditionStep and TreeBuildScript, report's BalanceReport, and
+# leaf_force's ForcedConstraints.
 _set_n = Coloring.n.__set__  # type: ignore[attr-defined]
 _set_bits = Coloring.bits.__set__  # type: ignore[attr-defined]
 
@@ -404,27 +405,22 @@ def _twin_groups(rows: Sequence[int]) -> list[list[int]]:
 
 def leaf_force(g: Graph, mode: Mode) -> ForcedConstraints:
     """The forced colors: twin vertices (``_twin_groups``) share a color, as
-    consecutive ``same`` pairs, and in cnb mode each leaf takes the color
-    opposite its unique neighbor. ``_Search`` builds the solver's classes
-    itself, from the same two rules: ``_twin_groups`` and the leaf rule. A
-    vertex carrying more than (deg+1)/2 leaves makes cnb infeasible
-    outright (``leaf_overload``); no other contradiction can arise, since
-    the pairs link each leaf group to one neighbor that has no twin."""
+    consecutive ``same`` pairs, and in cnb each leaf takes the color opposite
+    its unique neighbor, as ``opposite`` pairs (leaf, neighbor); ``_Search``
+    builds its classes from both. A vertex carrying more than (deg+1)/2
+    leaves makes cnb infeasible outright (``leaf_overload``); no other
+    contradiction can arise: each leaf group links to one twinless neighbor."""
     check_mode(mode)
-    same = [
-        (a, b) for members in _twin_groups(_balance_rows(g, mode))
+    same = tuple(
+        (a, b) for members in _twin_groups(_balance_rows(g, mode)) if len(members) > 1
         for a, b in zip(members, members[1:])
-    ]
-    opposite = []
-    infeasible = None
-    if mode == "cnb":
-        degs = g.degrees()
-        for v in range(g.n):
-            if degs[v] == 1:
-                nbr = g.adj[v].bit_length() - 1
-                opposite.append((v, nbr))
-        infeasible = leaf_overload(g, degs)
-    return ForcedConstraints(tuple(same), tuple(opposite), infeasible)
+    )
+    if mode == "nb":
+        return _record(ForcedConstraints, same=same, opposite=(), infeasible=None)
+    degs = g.degrees()
+    opposite = tuple((v, row.bit_length() - 1) for v, row in enumerate(g.adj) if degs[v] == 1)
+    return _record(ForcedConstraints, same=same, opposite=opposite,
+                   infeasible=leaf_overload(g, degs))
 
 
 def prefilter_reason(g: Graph, mode: Mode) -> str | None:

@@ -81,7 +81,7 @@ def _checked(v: CharacterizationVerdict, g: Graph, mode: Mode) -> Characterizati
     return v
 
 
-def _require_balanced(c: Coloring, name: str) -> None:
+def _require_equal_sizes(c: Coloring, name: str) -> None:
     if c.red_count != c.blue_count:
         raise UnbalancedColoringError(
             f"{name} must have |R| = |B|, got {c.red_count}/{c.blue_count}"
@@ -125,7 +125,7 @@ def color_complement_bridge(
     """
     if direction not in ("nb->cnb", "cnb->nb"):
         raise ValueError(f"direction must be 'nb->cnb' or 'cnb->nb', got {direction!r}")
-    _require_balanced(c, "input coloring")
+    _require_equal_sizes(c, "input coloring")
     source: Mode = "nb" if direction == "nb->cnb" else "cnb"
     target: Mode = "cnb" if direction == "nb->cnb" else "nb"
     require_valid(g, c, source, "input coloring")
@@ -138,8 +138,8 @@ def color_join(
 ) -> Coloring:
     """Color join(g, h) by concatenating two balanced mode-valid colorings."""
     check_mode(mode)
-    _require_balanced(cg, "first coloring")
-    _require_balanced(ch, "second coloring")
+    _require_equal_sizes(cg, "first coloring")
+    _require_equal_sizes(ch, "second coloring")
     require_valid(g, cg, mode, "first coloring")
     require_valid(h, ch, mode, "second coloring")
     out = join(g, h)
@@ -150,7 +150,7 @@ def color_join(
 def color_lexicographic(g: Graph, h: Graph, ch: Coloring) -> Coloring:
     """Color lexicographic(g, h) by repeating a balanced cnb coloring of h
     on every copy; g is arbitrary."""
-    _require_balanced(ch, "inner coloring")
+    _require_equal_sizes(ch, "inner coloring")
     require_valid(h, ch, "cnb", "inner coloring")
     bits = ch.bits * spread((1 << g.n) - 1, h.n)
     out = lexicographic(g, h)
@@ -215,7 +215,8 @@ def color_circulant(spec: CirculantSpec, mode: Mode = "cnb") -> Coloring | None:
 
 def circulant_reduce(spec: CirculantSpec) -> tuple[int, CirculantSpec]:
     """Divide out t = gcd(lengths, n). The circulant splits into t disjoint
-    copies of the reduced one, so balanced-colorability transfers exactly."""
+    copies of the reduced one, so balanced-colorability transfers exactly.
+    A standalone reduction: no verdict calls it (the 2-adic rule needs none)."""
     t = spec.gcd_step
     if t == 1:
         return 1, spec

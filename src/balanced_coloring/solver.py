@@ -13,8 +13,8 @@ and ``zb`` hold the rows at zero red or blue capacity. Assigning w red
 conflicts exactly when a row of w is in ``zr``; a row whose red capacity
 just reached zero forces its unassigned rest blue, and blue is symmetric.
 A trail of the assigned vertices undoes them on backtracking. Forced classes
-(twin groups, joined in cnb by the leaves of a vertex with the opposite
-color) are built up front, so one assignment colors a whole class at once.
+(``leaf_force``'s twin and leaf pairs) are built up front, so one
+assignment colors a whole class at once.
 
 In terms of a row's red-minus-blue count c and its free slots f, RC = (f -
 c) / 2 and BC = (f + c) / 2. So the bound |c| <= f says both capacities are
@@ -63,8 +63,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Literal
 
 from .coloring import (
-    Coloring, Mode, _balance_rows, _certificates, _record, _twin_groups, check_mode,
-    checked_output,
+    Coloring, Mode, _balance_rows, _certificates, _record, check_mode, checked_output,
+    leaf_force,
 )
 from .graphs import Graph
 from .trees import _tree_forcing
@@ -189,29 +189,19 @@ class _Search:
         self.trail: list[int] = []
         self.decisions = 0
         self.assignments = 0
-        # A class is a twin group; in cnb the leaves of a vertex form one
-        # group, which joins that vertex's own class with the opposite
-        # color. The vertex has no twin (a twin would also be adjacent to
-        # the leaves), so classes never collide, and the only contradiction
-        # is leaf_overload, which solve checks first. A K2 component is
-        # joined once, from its lower end.
-        groups = _twin_groups(rows)
-        class_of = [0] * n
+        # leaf_force's pairs: a twin group chains to its lowest member, and a
+        # cnb leaf joins its neighbor's class with parity 1, unless that
+        # neighbor is a leaf joined already (the lower end of a K2)
+        forced = leaf_force(g, mode)
+        class_of = list(range(n))
         par_of = [0] * n
-        for k, group in enumerate(groups):
-            for v in group:
-                class_of[v] = k
-        if mode == "cnb":
-            for group in groups:
-                v = group[0]
-                if g.adj[v].bit_count() == 1:
-                    u = g.adj[v].bit_length() - 1
-                    if g.adj[u].bit_count() == 1 and u < v:
-                        continue
-                    for w in group:
-                        class_of[w] = class_of[u]
-                        par_of[w] = 1
-        members: list[list[tuple[int, int]]] = [[] for _ in groups]
+        for a, b in forced.same:
+            class_of[b] = class_of[a]
+        for v, u in forced.opposite:
+            if not par_of[u]:
+                class_of[v] = class_of[u]
+                par_of[v] = 1
+        members: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for v in range(n):
             members[class_of[v]].append((v, par_of[v]))
         self.class_of = class_of
@@ -249,8 +239,11 @@ class _Search:
                         want = base ^ pw
                         wb = 1 << w
                         if assigned & wb:
-                            if ((red >> w) & 1) != want:
-                                return False
+                            # w holds want: v came unassigned from the
+                            # caller, or was queued for col once a row of v
+                            # hit zero capacity for the other color; zero
+                            # marks only grow in a call, so the row test
+                            # refused v that color; a class is assigned whole
                             continue
                         count += 1
                         row = rows[w]
@@ -632,7 +625,8 @@ def census(
     Per-item timeouts are recorded in their outcome and the stream continues.
     With workers > 1 (at most os.cpu_count()) the instances run in a process
     pool; output order still matches input order, and results are identical
-    to a serial run because solve itself is deterministic.
+    to a serial run because solve itself is deterministic. In both, an error
+    the stream raises comes after the results of the graphs before it.
     """
     mode = check_mode(mode)
     # the pool forks all its workers at the first submit, so cap the count
@@ -644,5 +638,14 @@ def census(
     from concurrent.futures import ProcessPoolExecutor
 
     task = functools.partial(solve, mode=mode, budget=budget)
+    graphs = iter(graphs)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(task, graphs, chunksize=16)
+        # bounded chunks: pool.map reads all its input before its first result
+        while True:
+            chunk: list[Graph] = []
+            try:
+                chunk.extend(itertools.islice(graphs, 16 * workers))
+            finally:  # also when a stream error cut the chunk short
+                yield from pool.map(task, chunk, chunksize=16)
+            if not chunk:
+                return

@@ -25,8 +25,7 @@ from itertools import product as _iproduct
 from typing import Iterator, Sequence
 
 from .coloring import (
-    Coloring, InvalidColoringError, _degree_parity, _record, checked_output, leaf_overload,
-    require_valid,
+    Coloring, InvalidColoringError, _degree_parity, _record, checked_output, require_valid,
 )
 from .graphs import MAX_ORDER, Graph, _bfs_layers, _tree_layers
 
@@ -211,17 +210,16 @@ def replay(script: TreeBuildScript) -> tuple[Graph, Coloring]:
 def decompose_cnbc_tree(t: Graph) -> TreeBuildScript | None:
     """Recognize a closed-balanced tree and emit its build script, or None.
 
-    Rejections: the first of solve's certificates (``_certificates``: for
-    a tree, an even-degree vertex or an order not 2 mod 4, then a vertex
-    carrying more than (deg+1)/2 leaves), from the degree pass that also
-    counts the tree test's edges; then any peel step failing. The tree
-    test's BFS layers from vertex 0 serve each step until that start is
-    peeled (peeling keeps distances), then a BFS runs from the lowest live
-    vertex. A step's a, the lowest live vertex of the deepest live layer,
-    ends a longest path, so its neighbor v2 has at most one non-leaf
-    neighbor v3 (none: a star is left). The step checks that v2 has degree
-    3, removes v2, its two leaves and the lowest leaf of v3 (from the mask
-    of live leaves, which only v3 can join), and records the addition;
+    Rejections: an even degree or an order not 2 mod 4 (so any odd order),
+    from the degree pass that also counts the tree test's edges, then a failed
+    peel step (an accepted tree replays as 4-vertex additions, so it meets the
+    leaf bound). The tree test's BFS layers from vertex 0 serve each step
+    until that start is peeled (peeling keeps distances), then a BFS runs from
+    the lowest live vertex. A step's a, the lowest live vertex of the deepest
+    live layer, ends a longest path, so its neighbor v2 has at most one
+    non-leaf neighbor v3 (none: a star is left). The step checks that v2 has
+    degree 3, removes v2, its two leaves and the lowest leaf of v3 (from the
+    mask of live leaves, which only v3 can join), and records the addition;
     only an edge may be left. Raises NotATreeError on a non-tree.
     """
     adj = list(t.adj)
@@ -230,8 +228,7 @@ def decompose_cnbc_tree(t: Graph) -> TreeBuildScript | None:
     layers = _tree_layers(adj, sum(degs) >> 1)
     if layers is None:
         raise NotATreeError(f"input with {n} vertices, {sum(degs) >> 1} edges")
-    # _certificates' chain in cnb: an odd order, the degree parities, the leaf bound
-    if n % 2 or _degree_parity(n, degs, "cnb") or leaf_overload(t, degs):
+    if _degree_parity(n, degs, "cnb"):
         return None
     leaves = sum(1 << v for v, d in enumerate(degs) if d == 1)
     alive = (1 << n) - 1

@@ -21,6 +21,7 @@ from balanced_coloring import CirculantSpec, Graph
 from balanced_coloring.coloring import (
     BalanceReport,
     Coloring,
+    ForcedConstraints,
     IdentityViolationError,
     InvalidColoringError,
     Mode,
@@ -28,13 +29,17 @@ from balanced_coloring.coloring import (
     _balance_rows,
     _certificates,
     _twin_groups,
+    check_mode,
     first_unbalanced,
+    leaf_overload,
     residuals,
 )
 from balanced_coloring.graph6 import Graph6Error
 from balanced_coloring.graphs import _bfs_layers, bits, is_tree
 from balanced_coloring.solver import _LimitExceeded
-from balanced_coloring.trees import AdditionStep, NotATreeError, TreeBuildScript, replay
+from balanced_coloring.trees import (
+    AdditionStep, NotATreeError, TreeBuildScript, random_labeled_tree, replay,
+)
 
 
 def ref_neighbor_sets(g: Graph) -> dict[int, set[int]]:
@@ -479,6 +484,55 @@ def ref_rational_rank(rows: Sequence[int], n: int) -> int:
                 m[i] = [a - f * b for a, b in zip(m[i], piv)]
         rank += 1
     return rank
+
+
+# Forced-constraint reference: leaf_force as it was while _Search still
+# applied the twin and leaf rules itself, its body kept verbatim (lists
+# built pair by pair, the record through the dataclass constructor). The
+# library's leaf_force must equal it field for field.
+def ref_leaf_force(g: Graph, mode: Mode) -> ForcedConstraints:
+    check_mode(mode)
+    same = [
+        (a, b) for members in _twin_groups(_balance_rows(g, mode))
+        for a, b in zip(members, members[1:])
+    ]
+    opposite = []
+    infeasible = None
+    if mode == "cnb":
+        degs = g.degrees()
+        for v in range(g.n):
+            if degs[v] == 1:
+                nbr = g.adj[v].bit_length() - 1
+                opposite.append((v, nbr))
+        infeasible = leaf_overload(g, degs)
+    return ForcedConstraints(tuple(same), tuple(opposite), infeasible)
+
+
+def leafy_graphs(seed: int, count: int) -> list[Graph]:
+    """Seeded graphs with many leaves, where the cnb leaf rule and twin
+    groups of leaves shape the search's classes: a labeled tree of order
+    2-16 with up to three extra edges, beside up to two K2 components and
+    up to two stars of 1-5 leaves, the vertices relabeled at random."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        t = random_labeled_tree(rng.randint(2, 16), rng)
+        n = t.n
+        edges = set(t.edges())
+        for _ in range(rng.randint(0, 3)):
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+        for _ in range(rng.randint(0, 2)):
+            edges.add((n, n + 1))
+            n += 2
+        for _ in range(rng.randint(0, 2)):
+            k = rng.randint(1, 5)
+            edges.update((n, n + i) for i in range(1, k + 1))
+            n += k + 1
+        label = list(range(n))
+        rng.shuffle(label)
+        out.append(Graph.from_edges(n, [(label[u], label[v]) for u, v in edges]))
+    return out
 
 
 # Search reference: the counter-list search core the bit-sliced one in

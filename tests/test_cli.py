@@ -238,6 +238,24 @@ class TestCensus:
         assert code == 2 and err.startswith("error: ")
         assert [json.loads(line)["status"] for line in out.splitlines()] == ["sat", "unsat"]
 
+    @pytest.mark.parametrize("text", [
+        "A_\nA_\nBw\n!!bad\nA_\n",
+        "A_\nA_\nBw\n" * 25 + "!!bad\nA_\n",  # past two full chunks of 32
+    ], ids=["short", "long"])
+    def test_bad_line_with_workers(self, capsys, tmp_path, text):
+        # the pool gets bounded chunks, so more workers print the same
+        # results before a malformed line as one does, and exit 2 too
+        p = tmp_path / "bad.g6"
+        p.write_text(text)
+        outs = []
+        for workers in ("1", "2"):
+            code, out, err = run(capsys, "census", "--input", str(p), "--workers", workers)
+            assert code == 2 and err.startswith("error: non-printable-byte")
+            records = [json.loads(line) for line in out.splitlines()]
+            outs.append([{k: v for k, v in r.items() if k != "millis"} for r in records])
+        assert outs[0] == outs[1]
+        assert len(outs[0]) == text.count("\n", 0, text.index("!"))
+
     def test_tsv(self, capsys, tmp_path):
         p = tmp_path / "one.g6"
         p.write_text(g6.encode(bc.complete(2)) + "\n")

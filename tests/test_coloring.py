@@ -1,5 +1,6 @@
 """Verification, balance reports, counting identities, forced constraints."""
 
+import dataclasses
 import random
 from itertools import combinations
 
@@ -12,10 +13,12 @@ from balanced_coloring import Coloring, Graph
 
 from conftest import (
     brute_force_masks,
+    leafy_graphs,
     outcome,
     random_graph,
     ref_balanced,
     ref_check_identities,
+    ref_leaf_force,
     ref_report,
 )
 
@@ -302,3 +305,16 @@ class TestLeafForce:
         classes = set(fc.same)
         assert len(classes) == 3  # chain through one group of four
         assert fc.opposite == ()
+
+    @pytest.mark.parametrize("mode", ["cnb", "nb"])
+    def test_against_reference(self, mode):
+        # every labeled graph of order at most 6, and seeded leafy graphs
+        # (trees with extra edges, K2 components, stars)
+        graphs = [g for n in range(7) for g in bc.all_labeled_graphs(n)]
+        graphs += leafy_graphs(2801, 500)
+        names = [f.name for f in dataclasses.fields(bc.ForcedConstraints)]
+        for g in graphs:
+            got, want = bc.leaf_force(g, mode), ref_leaf_force(g, mode)
+            assert got == want, (g.n, list(g.edges()), mode)
+            assert hash(got) == hash(want)
+            assert list(vars(got)) == list(vars(want)) == names

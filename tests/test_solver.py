@@ -17,7 +17,7 @@ import balanced_coloring as bc
 from balanced_coloring import Budget, Coloring, solver
 from balanced_coloring.coloring import _certificates, leaf_overload
 
-from conftest import H7_COLORING, RefSearch, brute_force_masks, random_graph
+from conftest import H7_COLORING, RefSearch, brute_force_masks, leafy_graphs, random_graph
 
 
 class TestAnchors:
@@ -493,6 +493,30 @@ class TestAgainstReferenceSearch:
         recs = self._compare(monkeypatch, _solve_records, cases)
         nullities = [r["nullity"] for r in recs if r["nullity"] is not None]
         assert min(nullities) <= 20 < max(nullities)
+
+
+class TestClassesFromLeafForce:
+    """_Search takes its classes from leaf_force's pairs; RefSearch keeps the
+    twin-group walk and leaf join that it replaced. Each vertex must see the
+    same class: the same members, in the same order, with the same
+    parities relative to it."""
+
+    @staticmethod
+    def _classes(search):
+        return [[(w, pw ^ search.par_of[v]) for w, pw in search.class_members[search.class_of[v]]]
+                for v in range(search.n)]
+
+    @pytest.mark.parametrize("mode", ["cnb", "nb"])
+    def test_against_reference(self, mode):
+        graphs = [g for n in range(7) for g in bc.all_labeled_graphs(n)]
+        graphs += leafy_graphs(2802, 500)
+        joined = 0
+        for g in graphs:
+            got = self._classes(solver._Search(g, mode))
+            assert got == self._classes(RefSearch(g, mode)), (g.n, list(g.edges()), mode)
+            joined += any(p for cls in got for _w, p in cls)
+        # cnb joins leaves to their neighbors with the opposite color; nb never
+        assert (joined > 1000) == (mode == "cnb")
 
 
 class TestRankPause:

@@ -13,7 +13,7 @@ import balanced_coloring as bc
 from balanced_coloring import (
     AdditionStep, Budget, Coloring, Graph, TreeBuildScript, graphs, solver, trees,
 )
-from balanced_coloring.coloring import _certificates
+from balanced_coloring.coloring import _certificates, _degree_parity, leaf_overload
 
 from conftest import (
     H6_EDGES, H7_COLORING, H7_EDGES, brute_force_masks, grown_tree, low_x_star_tree,
@@ -289,6 +289,24 @@ class TestAgainstReferencePeel:
         outs = [self.same(t) for n in range(1, 8) for t in bc.labeled_trees(n)]
         assert len(outs) == 1 + 1 + 3 + 16 + 125 + 1296 + 16807
         assert sum(isinstance(o, dict) for o in outs) == 1 + 90
+
+    def test_peel_alone_rejects_the_leaf_bound(self):
+        # the recognizer asks only the degree parities; a tree that passes
+        # them but carries more than (deg+1)/2 leaves at a vertex must fail
+        # a peel step. Odd-degree trees of order 2 mod 4 pass the parities.
+        rng = random.Random(2803)
+        trees = [bc.star(5), bc.star(9)]
+        trees += [TestDecompose._random_odd_degree_tree(rng.randrange(10, 51, 4), rng)
+                  for _ in range(1500)]
+        overloaded = accepted = 0
+        for t in trees:
+            assert _degree_parity(t.n, t.degrees(), "cnb") is None
+            out = self.same(t)
+            if leaf_overload(t, t.degrees()) is not None:
+                overloaded += 1
+                assert out is None
+            accepted += out is not None
+        assert overloaded > 1000 and accepted > 10
 
     def test_every_graph_to_order_5_that_is_not_a_tree(self):
         others = [g for n in range(6) for g in bc.all_labeled_graphs(n) if not bc.is_tree(g)]
